@@ -31,11 +31,15 @@ class ReplayFailure(InglenookError):
 
 
 def _read_source(value: str) -> str:
-    """A flag value is a file path when one exists, else inline text."""
-    if os.path.exists(value):
+    """A flag value is a file path when it names a regular file, else
+    inline text."""
+    if not os.path.isfile(value):
+        return value
+    try:
         with open(value, "r", encoding="utf-8") as fh:
             return fh.read()
-    return value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {value!r}: {exc}") from None
 
 
 def _load_spec(args) -> model.PuzzleSpec:
@@ -97,8 +101,7 @@ def cmd_optimal(args) -> int:
     if args.goal is None:
         raise FormatError("--goal is required")
     pattern = _load_pattern(spec, args.goal, labels)
-    report = search.optimal_solve(spec, start, pattern,
-                                  budget=args.budget, threads=args.threads)
+    report = search.optimal_solve(spec, start, pattern, budget=args.budget)
     if report.distance is None:
         print("distance = unreachable")
         print(f"explored = {report.explored}")
@@ -115,8 +118,7 @@ def cmd_worst(args) -> int:
         raise FormatError("worst needs --start and --goal patterns")
     starts = _load_pattern(spec, args.start, None)
     goal = _load_pattern(spec, args.goal, None)
-    report = search.worst_case_moves(spec, starts, goal,
-                                     budget=args.budget, threads=args.threads)
+    report = search.worst_case_moves(spec, starts, goal, budget=args.budget)
     if report.distance is None:
         print("distance = unreachable")
         print(f"start = {model.format_position(report.start)}")
@@ -212,14 +214,36 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "spec": dict(help="spec file or inline text"),
+    "wagons": dict(type=int, help="wagon count (inline spec)"),
+    "headshunt": dict(type=int, help="headshunt capacity (inline spec)"),
+    "sidings": dict(help="siding capacities, space separated (inline spec)"),
+    "start": dict(help="position or pattern, file or inline"),
+    "goal": dict(help="position or pattern, file or inline"),
+    "moves": dict(help="move list or trace file"),
+    "seed": dict(type=int, default=0, help="generator seed"),
+    "cards": dict(type=int, help="card count"),
+    "piles": dict(help="pile capacities, space separated"),
+    "budget": dict(type=int, default=search.DEFAULT_BUDGET,
+                   help="state budget for exhaustive work"),
+}
+
+_SPEC_FLAGS = ("spec", "wagons", "headshunt", "sidings")
+
+# name: (handler, help, flags read beyond the spec flags)
 _COMMANDS = {
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "optimal": cmd_optimal,
-    "worst": cmd_worst,
-    "diameter": cmd_diameter,
-    "gen": cmd_gen,
-    "verify": cmd_verify,
+    "check": (cmd_check, "decide whether every natural instance is solvable", ()),
+    "solve": (cmd_solve, "produce a guaranteed-valid solution within the move bound",
+              ("start", "goal")),
+    "optimal": (cmd_optimal, "find a provably shortest solution by exhaustive search",
+                ("start", "goal", "budget")),
+    "worst": (cmd_worst, "find the worst start for a goal set", ("start", "goal", "budget")),
+    "diameter": (cmd_diameter, "exact diameter of the card-pile graph",
+                 ("cards", "piles", "budget")),
+    "gen": (cmd_gen, "sample a start position matching a pattern", ("start", "seed")),
+    "verify": (cmd_verify, "replay a move list and print the final position",
+               ("start", "moves")),
 }
 
 
@@ -230,38 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
         "optimise solutions, study worst cases, and verify move lists.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("check", "decide whether every natural instance is solvable"),
-        ("solve", "produce a guaranteed-valid solution within the move bound"),
-        ("optimal", "find a provably shortest solution by exhaustive search"),
-        ("worst", "find the worst start for a goal set"),
-        ("diameter", "exact diameter of the card-pile graph"),
-        ("gen", "sample a start position matching a pattern"),
-        ("verify", "replay a move list and print the final position"),
-    ):
+    for name, (_handler, doc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--spec", help="spec file or inline text")
-        p.add_argument("--wagons", type=int, help="wagon count (inline spec)")
-        p.add_argument("--headshunt", type=int, help="headshunt capacity (inline spec)")
-        p.add_argument("--sidings", help="siding capacities, space separated (inline spec)")
-        p.add_argument("--start", help="position or pattern, file or inline")
-        p.add_argument("--goal", help="position or pattern, file or inline")
-        p.add_argument("--moves", help="move list or trace file (verify)")
-        p.add_argument("--seed", type=int, default=0, help="generator seed")
-        p.add_argument("--cards", type=int, help="card count (diameter)")
-        p.add_argument("--piles", help="pile capacities, space separated (diameter)")
-        p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
-                       help="state budget for exhaustive work")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for level expansion")
-        p.add_argument("--format", choices=["text"], default="text")
+        for flag in _SPEC_FLAGS + flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

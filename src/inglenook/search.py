@@ -1,18 +1,19 @@
 """Exhaustive and optimal analysis: shortest solutions, worst-case move
 counts, component censuses, and exact diameters at desk scale.
 
-The breadth-first kernel works on integer-packed positions (see
-model.SlotCodec) and expands levels in deterministic order, so reported
-distances, exploration counts, and tie-broken traces are reproducible
-bit-for-bit, with or without worker threads.
+Every search runs on one breadth-first kernel, `_bfs_levels`, over
+integer-packed codes (see model.SlotCodec), given the children function of
+the shunting or the card-pile move rule.  Levels are expanded in a fixed
+order, so reported distances, exploration counts, and tie-broken traces are
+reproducible bit-for-bit.  An exact card-pile diameter takes one search per
+pile-size composition: renaming cards is a graph automorphism, so a state's
+eccentricity depends only on its pile sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .constructive import SolutionTrace, UnsatisfiablePatternError
@@ -33,6 +34,7 @@ from .model import (
     position_codec,
     state_codec,
     validate_position,
+    validate_state,
 )
 
 DEFAULT_BUDGET = 10 ** 8
@@ -167,7 +169,7 @@ def parse_pattern(spec: PuzzleSpec, text: str, labels: LabelTable | None = None)
                 if not m:
                     raise FormatError(f"bad clause {clause!r}", lineno)
                 track = 0 if m.group(1) == "H" else int(m.group(2))
-                if track > spec.s:
+                if m.group(2) is not None and not 1 <= track <= spec.s:
                     raise FormatError(f"no track S{track} (spec has {spec.s})", lineno)
                 if track in rules:
                     raise FormatError(f"track given twice in one alternative", lineno)
@@ -271,48 +273,48 @@ def _iter_alternative(spec: PuzzleSpec, alt: tuple[TrackRule, ...]):
     set_choices = [
         list(itertools.permutations(sorted(alt[i].wagons))) for i in set_tracks
     ]
+    lengths = list(_track_lengths([spec.track_capacity(i) for i in any_tracks], len(loose)))
     for set_pick in itertools.product(*set_choices):
-        for distribution in _distributions(loose, [spec.track_capacity(i) for i in any_tracks]):
-            tracks: list[tuple[int, ...]] = []
-            for i, rule in enumerate(alt):
-                if rule.kind == EXACT:
-                    tracks.append(rule.wagons)
-                elif rule.kind == EMPTY:
-                    tracks.append(())
-                elif rule.kind == SET_ANY_ORDER:
-                    tracks.append(set_pick[set_tracks.index(i)])
-                else:
-                    tracks.append(distribution[any_tracks.index(i)])
-            yield Position(tuple(tracks))
+        for perm in itertools.permutations(loose):
+            for lens in lengths:
+                distribution = _cut(perm, lens)
+                tracks: list[tuple[int, ...]] = []
+                for i, rule in enumerate(alt):
+                    if rule.kind == EXACT:
+                        tracks.append(rule.wagons)
+                    elif rule.kind == EMPTY:
+                        tracks.append(())
+                    elif rule.kind == SET_ANY_ORDER:
+                        tracks.append(set_pick[set_tracks.index(i)])
+                    else:
+                        tracks.append(distribution[any_tracks.index(i)])
+                yield Position(tuple(tracks))
 
 
-def _distributions(wagons: list[int], caps: list[int]):
-    """All ways to deal the wagons, in order, onto ordered tracks."""
+def _track_lengths(caps, total: int):
+    """Every way to lay `total` items in order onto tracks of the given
+    capacities, as a tuple of track lengths; the first track's length
+    ascends slowest."""
     if not caps:
-        if not wagons:
+        if total == 0:
             yield ()
         return
-    if sum(caps) < len(wagons):
-        return
-    for perm in itertools.permutations(wagons):
-        yield from _split(perm, caps)
+    for k in range(min(caps[0], total) + 1):
+        for rest in _track_lengths(caps[1:], total - k):
+            yield (k,) + rest
 
 
-def _split(seq: tuple[int, ...], caps: list[int]):
-    if len(caps) == 1:
-        if len(seq) <= caps[0]:
-            yield (tuple(seq),)
-        return
-    for k in range(0, min(caps[0], len(seq)) + 1):
-        head = (tuple(seq[:k]),)
-        for rest in _split(seq[k:], caps[1:]):
-            yield head + rest
+def _cut(seq: tuple[int, ...], lengths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cut seq into consecutive runs of the given lengths."""
+    runs = []
+    at = 0
+    for k in lengths:
+        runs.append(seq[at : at + k])
+        at += k
+    return tuple(runs)
 
 
 # --- breadth-first kernel ---------------------------------------------------
-
-_CHUNK = 8192
-
 
 def _make_expander(spec: PuzzleSpec):
     """Compile a children-of-code function for spec.
@@ -370,34 +372,19 @@ def _make_expander(spec: PuzzleSpec):
     return expand
 
 
-def _expand_level(expand, frontier: list[int], visited: set[int], threads: int) -> list[int]:
-    """Grow the next level; identical output for any thread count because
-    chunk results are merged in frontier order."""
-    if threads > 1 and len(frontier) >= 2 * _CHUNK:
-        chunks = [frontier[i : i + _CHUNK] for i in range(0, len(frontier), _CHUNK)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda chunk: [expand(c) for c in chunk], chunks))
-        produced = (kids for part in parts for kids in part)
-    else:
-        produced = (expand(c) for c in frontier)
-    out = []
-    for kids in produced:
-        for child in kids:
-            if child not in visited:
-                visited.add(child)
-                out.append(child)
-    return out
-
-
-def _bfs_levels(spec, sources: list[int], *, match=None, budget: int, threads: int):
-    """Level-synchronous search from `sources`.
+def _bfs_levels(expand, sources: list[int], *, match=None, budget: int,
+                visited: set[int] | None = None):
+    """Level-synchronous search from `sources`, growing each level with the
+    children function `expand`.
 
     Returns (levels, visited, hit, distance) where hit is the first
     matching code in deterministic order, or None when match never fires
     (or is None).  With match set, the hit level is the last level kept.
+    A `visited` set passed in is shared: codes already in it are neither
+    sources nor children, and the codes found are added to it.
     """
-    expand = _make_expander(spec)
-    visited: set[int] = set()
+    if visited is None:
+        visited = set()
     frontier: list[int] = []
     for code in sources:
         if code not in visited:
@@ -413,7 +400,13 @@ def _bfs_levels(spec, sources: list[int], *, match=None, budget: int, threads: i
                     return levels, visited, code, distance
         if len(visited) > budget:
             raise BudgetExceededError(budget, len(visited), "search")
-        frontier = _expand_level(expand, frontier, visited, threads)
+        nxt = []
+        for code in frontier:
+            for child in expand(code):
+                if child not in visited:
+                    visited.add(child)
+                    nxt.append(child)
+        frontier = nxt
         distance += 1
     return levels, visited, None, None
 
@@ -533,11 +526,12 @@ class WorstCaseReport:
 
 
 def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
-                  budget: int = DEFAULT_BUDGET, threads: int = 1) -> SearchReport:
+                  budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exact shortest solution from start to any position matching goal.
 
-    Breadth-first over the whole graph; the goal test runs as each state
-    is dequeued.  Unreachable goals produce a report, not an exception.
+    Breadth-first over the whole graph; the goal test runs on each level
+    before it is expanded.  Unreachable goals produce a report, not an
+    exception.
     """
     validate_position(spec, start)
     total = count_positions(spec)
@@ -546,7 +540,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     codec = position_codec(spec)
     match = _compile_match(spec, goal)
     levels, _visited, hit, distance = _bfs_levels(
-        spec, [codec.encode(start.tracks)], match=match, budget=budget, threads=threads
+        _make_expander(spec), [codec.encode(start.tracks)], match=match, budget=budget
     )
     explored = sum(len(level) for level in levels)
     peak = max(len(level) for level in levels)
@@ -559,7 +553,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
 
 
 def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern, *,
-                     budget: int = DEFAULT_BUDGET, threads: int = 1) -> WorstCaseReport:
+                     budget: int = DEFAULT_BUDGET) -> WorstCaseReport:
     """Largest optimal distance from any start matching start_pattern to
     the goal set, by one reverse multi-source sweep from the goal states.
 
@@ -576,9 +570,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         raise UnsatisfiablePatternError(
             "no valid position matches the goal pattern", pattern_conflicts(spec, goal)
         )
-    levels, visited, _hit, _d = _bfs_levels(
-        spec, sources, match=None, budget=budget, threads=threads
-    )
+    levels, visited, _hit, _d = _bfs_levels(_make_expander(spec), sources, budget=budget)
     explored = sum(len(level) for level in levels)
 
     if explored < total:
@@ -650,25 +642,10 @@ def _make_cards_expander(spec: CardsSpec):
 def _iter_state_codes(spec: CardsSpec):
     """All packed card states, grouped by pile-size composition."""
     codec = state_codec(spec)
-    cards = list(range(1, spec.w + 1))
-    for sizes in _size_compositions(spec.m, spec.w):
+    cards = range(1, spec.w + 1)
+    for sizes in _track_lengths(spec.m, spec.w):
         for perm in itertools.permutations(cards):
-            piles = []
-            at = 0
-            for k in sizes:
-                piles.append(perm[at : at + k])
-                at += k
-            yield codec.encode(piles)
-
-
-def _size_compositions(caps: tuple[int, ...], total: int):
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    for k in range(0, min(caps[0], total) + 1):
-        for rest in _size_compositions(caps[1:], total - k):
-            yield (k,) + rest
+            yield codec.encode(_cut(perm, sizes))
 
 
 def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> CensusReport:
@@ -682,17 +659,8 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
     for seed in _iter_state_codes(spec):
         if seed in visited:
             continue
-        size = 0
-        queue = deque([seed])
-        visited.add(seed)
-        while queue:
-            code = queue.popleft()
-            size += 1
-            for child in expand(code):
-                if child not in visited:
-                    visited.add(child)
-                    queue.append(child)
-        sizes.append(size)
+        levels, _visited, _hit, _d = _bfs_levels(expand, [seed], budget=budget, visited=visited)
+        sizes.append(sum(len(level) for level in levels))
         if len(visited) == total:
             break
     assert len(visited) == total
@@ -702,41 +670,27 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
 def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
                    budget: int = DEFAULT_BUDGET) -> int | None:
     """Exact move distance between two card states, None if unreachable."""
-    from .model import validate_state
-
     validate_state(spec, start)
     validate_state(spec, goal)
     total = count_states(spec)
     if total > budget:
         raise BudgetExceededError(budget, total, "card distance search")
     codec = state_codec(spec)
-    src = codec.encode(start.piles)
     dst = codec.encode(goal.piles)
-    if src == dst:
-        return 0
-    expand = _make_cards_expander(spec)
-    visited = {src}
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for code in frontier:
-            for child in expand(code):
-                if child == dst:
-                    return d
-                if child not in visited:
-                    visited.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return None
+    _levels, _visited, _hit, distance = _bfs_levels(
+        _make_cards_expander(spec), [codec.encode(start.piles)],
+        match=lambda code: code == dst, budget=budget,
+    )
+    return distance
 
 
 def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact diameter of a connected card-pile graph.
 
-    All-sources breadth-first over a precomputed adjacency table, so the
-    budget is checked against the squared state count.
+    Renaming cards is a graph automorphism, so every state with the same
+    pile sizes has the same eccentricity: one search per pile-size
+    composition, from cards 1..w dealt in order, covers every state.  The
+    budget is still checked against the squared state count.
     """
     total = count_states(spec)
     if total * total > budget:
@@ -746,25 +700,14 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
         raise DisconnectedGraphError(census)
 
     expand = _make_cards_expander(spec)
-    codes = list(_iter_state_codes(spec))
-    index = {code: i for i, code in enumerate(codes)}
-    adjacency = [tuple(index[child] for child in expand(code)) for code in codes]
-
+    codec = state_codec(spec)
+    cards = tuple(range(1, spec.w + 1))
     diameter = 0
-    n = len(codes)
-    for source in range(n):
-        dist = [-1] * n
-        dist[source] = 0
-        queue = deque([source])
-        far = 0
-        while queue:
-            at = queue.popleft()
-            far = dist[at]
-            for nb in adjacency[at]:
-                if dist[nb] < 0:
-                    dist[nb] = far + 1
-                    queue.append(nb)
-        diameter = max(diameter, far)
+    for sizes in _track_lengths(spec.m, spec.w):
+        levels, _visited, _hit, _d = _bfs_levels(
+            expand, [codec.encode(_cut(cards, sizes))], budget=budget
+        )
+        diameter = max(diameter, len(levels) - 1)
 
     if spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1):
         assert diameter >= (spec.w * spec.w + 2) // 4
@@ -791,8 +734,7 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
 
     start = from_cards(spec, ordered)
     goal = from_cards(spec, reversed_)
-    report = optimal_solve(spec, start, GoalPattern.exact_position(goal),
-                           budget=budget, threads=1)
+    report = optimal_solve(spec, start, GoalPattern.exact_position(goal), budget=budget)
     assert report.distance is not None
     assert report.distance == 2 * card_d
     assert report.distance >= (w * w) // 2

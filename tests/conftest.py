@@ -159,6 +159,19 @@ def card_neighbors(spec: CardsSpec, st_: CardsState) -> list[CardsState]:
     return out
 
 
+def naive_card_distances(spec: CardsSpec, src: CardsState) -> dict[CardsState, int]:
+    """Plain breadth-first card distances from src, via card_neighbors."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        s = queue.popleft()
+        for t in card_neighbors(spec, s):
+            if t not in dist:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    return dist
+
+
 class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))

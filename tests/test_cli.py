@@ -249,3 +249,41 @@ def test_fuzzed_spec_never_crashes(text):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.strip()
+
+
+def test_directory_or_undecodable_flag_values_are_input_errors(tmp_path):
+    code, _, err = run_cli("check", "--spec", str(tmp_path))
+    assert code == 2
+    assert "error" in err
+    code, _, err = run_cli(
+        "optimal", "--wagons", "3", "--headshunt", "2", "--sidings", "2 2",
+        "--start", str(tmp_path), "--goal", "*",
+    )
+    assert code == 2
+    assert "error" in err
+    binary = tmp_path / "binary.spec"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli("check", "--spec", str(binary))
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_siding_zero_in_a_pattern_is_an_input_error(fixtures_dir):
+    code, out, err = run_cli("gen", "--spec", str(fixtures_dir / "classic.spec"),
+                             "--start", "S0 = [1,2,3]")
+    assert code == 2
+    assert out == ""
+    assert "no track S0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--seed", "1"),
+    ("solve", "--budget", "5"),
+    ("optimal", "--threads", "2"),
+    ("check", "--format", "text"),
+])
+def test_flags_a_command_does_not_read_are_rejected(fixtures_dir, argv):
+    code, out, err = run_cli(*argv, "--spec", str(fixtures_dir / "classic.spec"))
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err

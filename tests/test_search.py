@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inglenook import (
@@ -22,6 +22,7 @@ from inglenook import (
     apply_move,
     canonical_encoding,
     cards_component_census,
+    cards_connected,
     cards_diameter,
     cards_distance,
     count_positions,
@@ -48,6 +49,9 @@ from inglenook.search import (
 from conftest import (
     all_card_states,
     all_positions,
+    card_states,
+    cards_specs,
+    naive_card_distances,
     naive_cards_components,
     naive_distances,
     positions,
@@ -115,18 +119,6 @@ def test_optimal_trace_tie_break_is_deterministic():
     assert first.explored == second.explored
 
 
-def test_threaded_search_is_bit_identical():
-    spec = PuzzleSpec(5, 2, (2, 2, 2))
-    start = Position(((), (1, 2), (3, 4), (5,)))
-    goal = GoalPattern.exact_position(Position(((), (5, 4), (3, 2), (1,))))
-    serial = optimal_solve(spec, start, goal, threads=1)
-    threaded = optimal_solve(spec, start, goal, threads=4)
-    assert serial.distance == threaded.distance
-    assert serial.trace.moves == threaded.trace.moves
-    assert serial.explored == threaded.explored
-    assert serial.peak_frontier == threaded.peak_frontier
-
-
 def test_budget_refusal_is_clean():
     with pytest.raises(BudgetExceededError) as err:
         optimal_solve(SMALL, Position(((), (1, 2), (3, 4), ())),
@@ -179,8 +171,9 @@ def test_pattern_conflicts_report():
 def test_parse_pattern_errors():
     from inglenook import FormatError
 
-    with pytest.raises(FormatError):
-        parse_pattern(SMALL, "S9 = [1]")
+    for clause in ("S9 = [1]", "S0 = [1]", "S00 = [1]"):
+        with pytest.raises(FormatError, match="no track S"):
+            parse_pattern(SMALL, clause)
     with pytest.raises(FormatError):
         parse_pattern(SMALL, "S1 ~ [1,2]")
     with pytest.raises(FormatError):
@@ -270,24 +263,15 @@ def test_diameter_rejects_disconnected_with_census():
     assert err.value.census.components == 2
 
 
-def test_diameter_matches_naive_bfs_small():
-    spec = CardsSpec(3, (2, 2, 1))
-    states = all_card_states(spec)
-    from conftest import card_neighbors
-
-    naive = 0
-    for src in states:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for t in card_neighbors(spec, s):
-                    if t not in dist:
-                        dist[t] = dist[s] + 1
-                        nxt.append(t)
-            frontier = nxt
-        naive = max(naive, max(dist.values()))
+@given(cards_specs(max_w=4, max_piles=3, max_cap=3)
+       .filter(lambda spec: cards_connected(spec).solvable))
+@example(CardsSpec(3, (2, 2, 1)))
+@settings(max_examples=25, deadline=None)
+def test_diameter_matches_naive_bfs_small(spec):
+    # all-pairs through the naive route; the kernel searches one start per
+    # pile-size composition and relies on card renaming being an automorphism
+    naive = max(max(naive_card_distances(spec, src).values())
+                for src in all_card_states(spec))
     assert cards_diameter(spec) == naive
 
 
@@ -297,6 +281,21 @@ def test_cards_distance_small():
     b = CardsState(((2,), (1,), ()))
     assert cards_distance(spec, a, b) == 3
     assert cards_distance(spec, a, a) == 0
+
+
+@st.composite
+def _cards_specs_with_state_pairs(draw):
+    spec = draw(cards_specs(max_w=4))
+    return spec, draw(card_states(spec)), draw(card_states(spec))
+
+
+@given(_cards_specs_with_state_pairs())
+@example((CardsSpec(2, (2, 2)), CardsState(((1, 2), ())), CardsState(((2, 1), ()))))
+@settings(max_examples=60, deadline=None)
+def test_cards_distance_matches_naive_bfs(case):
+    # the example lies in a disconnected graph: its goal is unreachable
+    spec, start, goal = case
+    assert cards_distance(spec, start, goal) == naive_card_distances(spec, start).get(goal)
 
 
 @pytest.mark.parametrize("w,expect", [(2, 6), (3, 14), (4, 26)])
