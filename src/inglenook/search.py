@@ -2,9 +2,12 @@
 counts, component censuses, and exact diameters at desk scale.
 
 Every search runs on one breadth-first kernel, `_bfs_levels`, over
-integer-packed codes (see model.SlotCodec), given the children function of
-the shunting or the card-pile move rule.  Levels are expanded in a fixed
-order, so reported distances, exploration counts, and tie-broken traces are
+integer-packed codes (see model.SlotCodec).  Both move rules, a block of
+wagons between the headshunt and one siding and one card between two piles,
+are one kind of move table, `_MoveTable`: keyed by a code's occupancy mask,
+which fixes every track's length, it lists that composition's moves as bit
+relocations in a fixed order.  Levels therefore come out in a fixed order,
+so reported distances, exploration counts, and tie-broken traces are
 reproducible bit-for-bit.  An exact card-pile diameter takes one search per
 pile-size composition: renaming cards is a graph automorphism, so a state's
 eccentricity depends only on its pile sizes.
@@ -28,6 +31,7 @@ from .model import (
     Position,
     PuzzleSpec,
     ShuntMove,
+    _compositions,
     apply_move,
     count_positions,
     count_states,
@@ -246,20 +250,21 @@ def _alternative_conflict(spec: PuzzleSpec, alt: tuple[TrackRule, ...]) -> str |
 def iter_matching_positions(spec: PuzzleSpec, pattern: GoalPattern):
     """Yield every valid position matching the pattern, deterministically.
 
-    Positions repeated across alternatives are yielded once.
+    A position matching several alternatives is yielded once, under the
+    first of them: later alternatives skip what an earlier one matches.
     """
-    seen: set | None = set() if len(pattern.alternatives) > 1 else None
     codec = position_codec(spec)
+    earlier = []
     for alt in pattern.alternatives:
         if _alternative_conflict(spec, alt):
             continue
         for p in _iter_alternative(spec, alt):
-            if seen is not None:
-                key = codec.encode(p.tracks)
-                if key in seen:
+            if earlier:
+                code = codec.encode(p.tracks)
+                if any(match(code) for match in earlier):
                     continue
-                seen.add(key)
             yield p
+        earlier.append(_compile_match(spec, GoalPattern((alt,))))
 
 
 def _iter_alternative(spec: PuzzleSpec, alt: tuple[TrackRule, ...]):
@@ -316,66 +321,78 @@ def _cut(seq: tuple[int, ...], lengths: tuple[int, ...]) -> tuple[tuple[int, ...
 
 # --- breadth-first kernel ---------------------------------------------------
 
-def _make_expander(spec: PuzzleSpec):
-    """Compile a children-of-code function for spec.
+class _MoveTable(dict):
+    """The moves of one move rule, keyed by a code's occupancy mask.
 
-    Children come out in move order (siding ascending, pulls before
-    pushes, block size ascending), matching the trace tie-break.
+    `(((code & low) + low) | code) & high` sets the high bit of exactly the
+    non-zero slots, so the mask fixes every track's length.  A rule is the
+    ordered (source, destination) track pairs, which end of each track is
+    open (`front_open[i]` when its first slot is the open end, otherwise its
+    last occupied slot is), and the largest block that may move.  A block
+    keeps its order.  An entry, built on first use, lists the moves as
+    (keep, f1, m1, t1, f2, m2, t2); the child of `code` is
+        (code & keep) | (((code >> f1) & m1) << t1) | (((code >> f2) & m2) << t2)
+    where the first relocation moves the block and the second slides the
+    occupants of the front-open track, if the move touches one.  Moves come
+    out by pair, then block size ascending.
     """
-    codec = position_codec(spec)
-    bits = codec.bits
-    slot_mask = codec.slot_mask
-    caps = codec.caps
-    shifts = codec.low_shift
-    seg_masks = codec.seg_mask
-    h = spec.h
-    s = spec.s
 
-    def expand(code: int) -> list[int]:
-        vals = []
-        lens = []
-        for i in range(s + 1):
-            v = (code >> shifts[i]) & seg_masks[i]
-            vals.append(v)
-            if v == 0:
-                lens.append(0)
-            else:
-                n = caps[i]
-                while (v & slot_mask) == 0:
-                    v >>= bits
-                    n -= 1
-                lens.append(n)
-        children = []
-        v0 = vals[0]
-        n0 = lens[0]
-        sh0 = shifts[0]
-        free0 = h - n0
-        tail_base = bits * (h - n0)
-        for r in range(1, s + 1):
-            vr = vals[r]
-            nr = lens[r]
-            capr = caps[r]
-            shr = shifts[r]
-            for k in range(1, min(nr, free0) + 1):
-                cut = bits * (capr - k)
-                pref = vr >> cut
-                nvr = (vr - (pref << cut)) << (bits * k)
-                nv0 = v0 + (pref << (bits * (h - n0 - k)))
-                children.append(code + ((nv0 - v0) << sh0) + ((nvr - vr) << shr))
-            for k in range(1, min(n0, capr - nr) + 1):
-                tail = (v0 >> tail_base) & ((1 << (bits * k)) - 1)
-                nv0 = v0 - (tail << tail_base)
-                nvr = (tail << (bits * (capr - k))) + (vr >> (bits * k))
-                children.append(code + ((nv0 - v0) << sh0) + ((nvr - vr) << shr))
-        return children
+    def __init__(self, codec, front_open: tuple[bool, ...], pairs, max_block: int):
+        super().__init__()
+        self.codec = codec
+        self.front_open = front_open
+        self.pairs = tuple(pairs)
+        self.max_block = max_block
+        self.full = (1 << codec.bits * codec.total_slots) - 1
+        ones = self.full // codec.slot_mask  # 1 in every slot
+        self.low = ones * (codec.slot_mask >> 1)
+        self.high = ones << (codec.bits - 1)
 
-    return expand
+    def _span(self, track: int, first: int, count: int) -> tuple[int, int]:
+        """(shift, mask) of `count` slots of track, from slot `first` on."""
+        codec = self.codec
+        shift = codec.low_shift[track] + codec.bits * (codec.caps[track] - first - count)
+        return shift, (1 << codec.bits * count) - 1
+
+    def __missing__(self, occ: int) -> list[tuple[int, ...]]:
+        codec, front, span = self.codec, self.front_open, self._span
+        lens = [((occ >> shift) & seg).bit_count()
+                for shift, seg in zip(codec.low_shift, codec.seg_mask)]
+        moves = []
+        for src, dst in self.pairs:
+            ns, nd = lens[src], lens[dst]
+            for k in range(1, min(ns, codec.caps[dst] - nd, self.max_block) + 1):
+                f1, m1 = span(src, 0 if front[src] else ns - k, k)
+                t1 = span(dst, 0 if front[dst] else nd, k)[0]
+                f2 = m2 = t2 = 0
+                if front[src]:
+                    (f2, m2), t2 = span(src, k, ns - k), span(src, 0, ns - k)[0]
+                elif front[dst]:
+                    (f2, m2), t2 = span(dst, 0, nd), span(dst, k, nd)[0]
+                keep = self.full ^ (m1 << f1) ^ (m2 << f2)
+                moves.append((keep, f1, m1, t1, f2, m2, t2))
+        self[occ] = moves
+        return moves
 
 
-def _bfs_levels(expand, sources: list[int], *, match=None, budget: int,
+def _shunt_moves(spec: PuzzleSpec) -> _MoveTable:
+    """Blocks of any size between the headshunt, open at its back, and a
+    siding, open at its front: siding ascending, pulls before pushes."""
+    pairs = [pair for r in range(1, spec.s + 1) for pair in ((r, 0), (0, r))]
+    return _MoveTable(position_codec(spec), (False,) + (True,) * spec.s, pairs, spec.w)
+
+
+def _card_moves(spec: CardsSpec) -> _MoveTable:
+    """One card from the top of a pile to the top of another: source pile
+    ascending, then destination ascending."""
+    n = len(spec.m)
+    return _MoveTable(state_codec(spec), (False,) * n, itertools.permutations(range(n), 2), 1)
+
+
+def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: int,
                 visited: set[int] | None = None):
-    """Level-synchronous search from `sources`, growing each level with the
-    children function `expand`.
+    """Level-synchronous search from `sources`, growing each level by the
+    move table `moves`, so each level lists its codes in move order.
 
     Returns (levels, visited, hit, distance) where hit is the first
     matching code in deterministic order, or None when match never fires
@@ -392,6 +409,7 @@ def _bfs_levels(expand, sources: list[int], *, match=None, budget: int,
             frontier.append(code)
     levels: list[list[int]] = []
     distance = 0
+    low, high = moves.low, moves.high
     while frontier:
         levels.append(frontier)
         if match is not None:
@@ -402,7 +420,8 @@ def _bfs_levels(expand, sources: list[int], *, match=None, budget: int,
             raise BudgetExceededError(budget, len(visited), "search")
         nxt = []
         for code in frontier:
-            for child in expand(code):
+            for keep, f1, m1, t1, f2, m2, t2 in moves[(((code & low) + low) | code) & high]:
+                child = (code & keep) | (((code >> f1) & m1) << t1) | (((code >> f2) & m2) << t2)
                 if child not in visited:
                     visited.add(child)
                     nxt.append(child)
@@ -540,14 +559,15 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     codec = position_codec(spec)
     match = _compile_match(spec, goal)
     levels, _visited, hit, distance = _bfs_levels(
-        _make_expander(spec), [codec.encode(start.tracks)], match=match, budget=budget
+        _shunt_moves(spec), [codec.encode(start.tracks)], match=match, budget=budget
     )
     explored = sum(len(level) for level in levels)
     peak = max(len(level) for level in levels)
     if hit is None:
         return SearchReport(None, None, explored, peak)
     moves, origin = _reconstruct(spec, levels, hit, distance)
-    assert origin == start
+    if origin != start:
+        raise AssertionError("the optimal trace must lead back to the start")
     trace = SolutionTrace(start, Position(codec.decode(hit)), tuple(moves))
     return SearchReport(distance, trace, explored, peak)
 
@@ -570,7 +590,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         raise UnsatisfiablePatternError(
             "no valid position matches the goal pattern", pattern_conflicts(spec, goal)
         )
-    levels, visited, _hit, _d = _bfs_levels(_make_expander(spec), sources, budget=budget)
+    levels, visited, _hit, _d = _bfs_levels(_shunt_moves(spec), sources, budget=budget)
     explored = sum(len(level) for level in levels)
 
     if explored < total:
@@ -599,46 +619,6 @@ class CensusReport:
     sizes: tuple[int, ...]  # descending
 
 
-def _make_cards_expander(spec: CardsSpec):
-    codec = state_codec(spec)
-    bits = codec.bits
-    slot_mask = codec.slot_mask
-    caps = codec.caps
-    shifts = codec.low_shift
-    seg_masks = codec.seg_mask
-    n = len(caps)
-
-    def expand(code: int) -> list[int]:
-        vals = []
-        lens = []
-        for i in range(n):
-            v = (code >> shifts[i]) & seg_masks[i]
-            vals.append(v)
-            if v == 0:
-                lens.append(0)
-            else:
-                ln = caps[i]
-                while (v & slot_mask) == 0:
-                    v >>= bits
-                    ln -= 1
-                lens.append(ln)
-        children = []
-        for i in range(n):
-            if not lens[i]:
-                continue
-            # top of pile i sits at slot lens[i]-1, counted from the high end
-            top_shift = shifts[i] + bits * (caps[i] - lens[i])
-            card = (code >> top_shift) & slot_mask
-            for j in range(n):
-                if j == i or lens[j] >= caps[j]:
-                    continue
-                dst_shift = shifts[j] + bits * (caps[j] - lens[j] - 1)
-                children.append(code - (card << top_shift) + (card << dst_shift))
-        return children
-
-    return expand
-
-
 def _iter_state_codes(spec: CardsSpec):
     """All packed card states, grouped by pile-size composition."""
     codec = state_codec(spec)
@@ -653,17 +633,18 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
     total = count_states(spec)
     if total > budget:
         raise BudgetExceededError(budget, total, "component census")
-    expand = _make_cards_expander(spec)
+    moves = _card_moves(spec)
     visited: set[int] = set()
     sizes = []
     for seed in _iter_state_codes(spec):
         if seed in visited:
             continue
-        levels, _visited, _hit, _d = _bfs_levels(expand, [seed], budget=budget, visited=visited)
+        levels, _visited, _hit, _d = _bfs_levels(moves, [seed], budget=budget, visited=visited)
         sizes.append(sum(len(level) for level in levels))
         if len(visited) == total:
             break
-    assert len(visited) == total
+    if len(visited) != total:
+        raise AssertionError(f"the census visited {len(visited)} of {total} states")
     return CensusReport(total, len(sizes), tuple(sorted(sizes, reverse=True)))
 
 
@@ -678,7 +659,7 @@ def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
     codec = state_codec(spec)
     dst = codec.encode(goal.piles)
     _levels, _visited, _hit, distance = _bfs_levels(
-        _make_cards_expander(spec), [codec.encode(start.piles)],
+        _card_moves(spec), [codec.encode(start.piles)],
         match=lambda code: code == dst, budget=budget,
     )
     return distance
@@ -690,27 +671,29 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     Renaming cards is a graph automorphism, so every state with the same
     pile sizes has the same eccentricity: one search per pile-size
     composition, from cards 1..w dealt in order, covers every state.  The
-    budget is still checked against the squared state count.
+    budget is checked against the states those searches visit: the number
+    of compositions times the state count.
     """
-    total = count_states(spec)
-    if total * total > budget:
-        raise BudgetExceededError(budget, total * total, "all-sources diameter")
+    work = _compositions(spec.m, spec.w) * count_states(spec)
+    if work > budget:
+        raise BudgetExceededError(budget, work, "all-sources diameter")
     census = cards_component_census(spec, budget=budget)
     if census.components != 1:
         raise DisconnectedGraphError(census)
 
-    expand = _make_cards_expander(spec)
+    moves = _card_moves(spec)
     codec = state_codec(spec)
     cards = tuple(range(1, spec.w + 1))
     diameter = 0
     for sizes in _track_lengths(spec.m, spec.w):
         levels, _visited, _hit, _d = _bfs_levels(
-            expand, [codec.encode(_cut(cards, sizes))], budget=budget
+            moves, [codec.encode(_cut(cards, sizes))], budget=budget
         )
         diameter = max(diameter, len(levels) - 1)
 
-    if spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1):
-        assert diameter >= (spec.w * spec.w + 2) // 4
+    lower_bound_family = spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1)
+    if lower_bound_family and diameter < (spec.w * spec.w + 2) // 4:
+        raise AssertionError(f"diameter {diameter} is below the ceil((w*w - 1) / 4) bound")
     return diameter
 
 
@@ -728,16 +711,19 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
     ordered = CardsState((tuple(range(1, w)), (w,), ()))
     reversed_ = CardsState((tuple(range(w, 1, -1)), (1,), ()))
     card_d = cards_distance(cspec, ordered, reversed_, budget=budget)
-    assert card_d is not None
+    if card_d is None:
+        raise AssertionError("the card reversal must be reachable")
 
     from .model import from_cards
 
     start = from_cards(spec, ordered)
     goal = from_cards(spec, reversed_)
     report = optimal_solve(spec, start, GoalPattern.exact_position(goal), budget=budget)
-    assert report.distance is not None
-    assert report.distance == 2 * card_d
-    assert report.distance >= (w * w) // 2
+    if report.distance != 2 * card_d or report.distance < (w * w) // 2:
+        raise AssertionError(
+            f"reversal takes {report.distance} shunt moves; want twice the card "
+            f"distance {card_d} and at least {(w * w) // 2}"
+        )
     return report.distance
 
 

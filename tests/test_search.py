@@ -7,7 +7,9 @@ the acceptance suite; everything here runs in seconds.
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,17 +40,22 @@ from inglenook import (
     solve_inglenook,
     worst_case_moves,
 )
+from inglenook.model import position_codec, state_codec
 from inglenook.search import (
     BudgetExceededError,
     DisconnectedGraphError,
     GoalPattern,
     TrackRule,
+    _bfs_levels,
+    _card_moves,
+    _shunt_moves,
     pattern_conflicts,
 )
 
 from conftest import (
     all_card_states,
     all_positions,
+    card_neighbors,
     card_states,
     cards_specs,
     naive_card_distances,
@@ -157,6 +164,18 @@ def test_pattern_enumeration_handles_alternatives_without_duplicates():
     pattern = parse_pattern(SMALL, "H = *\n*")
     everything = list(iter_matching_positions(SMALL, pattern))
     assert len(everything) == count_positions(SMALL)
+
+
+def test_pattern_enumeration_keeps_first_alternative_order():
+    # overlapping alternatives: each position comes once, where the first
+    # alternative that matches it would yield it
+    pattern = parse_pattern(SMALL, "S1 ~ {1,2}\nH = []\nS1 ~ {1,2}; S3 = [3]")
+    expected = []
+    for alt in pattern.alternatives:
+        for p in iter_matching_positions(SMALL, GoalPattern((alt,))):
+            if p not in expected:
+                expected.append(p)
+    assert list(iter_matching_positions(SMALL, pattern)) == expected
 
 
 def test_pattern_conflicts_report():
@@ -275,6 +294,15 @@ def test_diameter_matches_naive_bfs_small(spec):
     assert cards_diameter(spec) == naive
 
 
+def test_diameter_budget_counts_one_search_per_composition():
+    # 9 compositions times 1,080 states is 9,720, under the budget; the
+    # squared state count, 1,166,400, would be refused
+    assert cards_diameter(CardsSpec(5, (4, 4, 1)), budget=10 ** 4) == 20
+    with pytest.raises(BudgetExceededError) as err:
+        cards_diameter(CardsSpec(5, (4, 4, 1)), budget=9719)
+    assert err.value.estimate == 9720
+
+
 def test_cards_distance_small():
     spec = CardsSpec(2, (1, 1, 1))
     a = CardsState(((1,), (2,), ()))
@@ -345,3 +373,52 @@ def test_reversal_ordering_displacement_matches_closed_form():
         assert total == sum(abs(w + 1 - 2 * i) for i in range(1, w + 1))
         assert total == (w * w) // 2
         assert total >= (w * w - 1) // 2
+
+
+# --- move table -------------------------------------------------------------
+
+def _kernel_children(moves, code: int) -> list[int]:
+    """The children of code, in order, as the kernel's first level: every
+    child differs from code, so the match stops the search right there."""
+    levels = _bfs_levels(moves, [code], match=lambda c: c != code, budget=10 ** 6)[0]
+    return levels[1] if len(levels) > 1 else []
+
+
+@given(specs_with_positions())
+@settings(max_examples=200, deadline=None)
+def test_shunt_table_matches_reference_rule_in_order(case):
+    spec, p = case
+    codec = position_codec(spec)
+    want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
+    assert _kernel_children(_shunt_moves(spec), codec.encode(p.tracks)) == want
+
+
+@given(_cards_specs_with_state_pairs())
+@settings(max_examples=200, deadline=None)
+def test_card_table_matches_reference_rule_in_order(case):
+    spec, state, _other = case
+    codec = state_codec(spec)
+    want = [codec.encode(t.piles) for t in card_neighbors(spec, state)]
+    assert _kernel_children(_card_moves(spec), codec.encode(state.piles)) == want
+
+
+def test_occupancy_mask_with_labels_past_the_slot_high_bit():
+    # 8-bit slots hold labels up to 255, so labels from 128 on set the
+    # slot's high bit themselves
+    spec = PuzzleSpec(200, 1, (200,))
+    codec = position_codec(spec)
+    moves = _shunt_moves(spec)
+    for p in (Position(((), tuple(range(200, 0, -1)))),
+              Position(((128,), tuple(range(200, 128, -1)) + tuple(range(127, 0, -1))))):
+        code = codec.encode(p.tracks)
+        occupancy = (((code & moves.low) + moves.low) | code) & moves.high
+        assert occupancy == codec.encode(tuple((128,) * len(t) for t in p.tracks))
+        want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
+        assert _kernel_children(moves, code) == want
+
+
+def test_search_checks_are_not_asserts():
+    # `python -O` strips assert statements; the search's checks must stay
+    path = Path(__file__).resolve().parent.parent / "src" / "inglenook" / "search.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
