@@ -155,12 +155,7 @@ def cmd_gen(args) -> int:
         raise FormatError("gen needs a --start pattern")
     pattern = _load_pattern(spec, args.start, None)
     codec = model.position_codec(spec)
-    codes = sorted(codec.encode(p.tracks) for p in search.iter_matching_positions(spec, pattern))
-    if not codes:
-        raise UnsatisfiablePatternError(
-            "no valid position matches the pattern",
-            search.pattern_conflicts(spec, pattern),
-        )
+    codes = sorted(search.matching_codes(spec, pattern, "the pattern"))
     rng = random.Random(args.seed)
     choice = codes[rng.randrange(len(codes))]
     print(model.format_position(model.Position(codec.decode(choice))))

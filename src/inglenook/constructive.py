@@ -28,6 +28,7 @@ from .model import (
     format_move,
     format_position,
     is_convertible,
+    position_codec,
     replay,
     to_cards,
     validate_position,
@@ -118,8 +119,12 @@ def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> Solutio
     want = [list(p) for p in goal.piles]
     moves = _cards_path(list(spec.m), cur, want)
     trace = SolutionTrace(start, goal, tuple(moves))
-    assert trace.length <= cards_move_bound(spec.w)
-    assert replay_cards(spec, start, trace.moves)[-1] == goal
+    if trace.length > cards_move_bound(spec.w):
+        raise AssertionError(
+            f"{trace.length} card moves exceed the bound {cards_move_bound(spec.w)}"
+        )
+    if replay_cards(spec, start, trace.moves)[-1] != goal:
+        raise AssertionError("the card trace must replay to the goal")
     return trace
 
 
@@ -226,7 +231,8 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
                        default=home)
             move(target, dest)
         # The other piles always have room for the whole home pile.
-        assert sum(spaces(i) for i in range(n) if i != home) >= len(piles[home])
+        if sum(spaces(i) for i in range(n) if i != home) < len(piles[home]):
+            raise AssertionError("the other piles must have room for the home pile")
         while piles[home][-1] != anchor:
             dest = min((i for i in range(n) if i not in (home, target) and spaces(i)),
                        default=target)
@@ -248,16 +254,18 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
     first, second = open_piles[0], open_piles[1]
 
     # Stage three: uncover the anchor, leaving both reserves open.
-    assert sum(spaces(i) for i in range(n) if i != target) >= len(piles[target])
+    if sum(spaces(i) for i in range(n) if i != target) < len(piles[target]):
+        raise AssertionError("the other piles must have room for the target pile")
     while piles[target][-1] != anchor:
         choices = [i for i in range(n) if i not in (target, first, second) and spaces(i)]
         if choices:
             dest = choices[0]
         elif spaces(first) >= 2:
             dest = first
-        else:
-            assert spaces(second) >= 2
+        elif spaces(second) >= 2:
             dest = second
+        else:
+            raise AssertionError("a reserve pile must keep a spare slot")
         move(target, dest)
 
     # Stage four: park the anchor on one reserve and drain the target pile.
@@ -331,8 +339,12 @@ def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> Soluti
     moves.extend(suffix)
 
     trace = SolutionTrace(start, goal, tuple(moves))
-    assert trace.length <= inglenook_move_bound(spec.w)
-    assert replay(spec, start, trace.moves)[-1] == goal
+    if trace.length > inglenook_move_bound(spec.w):
+        raise AssertionError(
+            f"{trace.length} shunt moves exceed the bound {inglenook_move_bound(spec.w)}"
+        )
+    if replay(spec, start, trace.moves)[-1] != goal:
+        raise AssertionError("the shunt trace must replay to the goal")
     return trace
 
 
@@ -340,25 +352,17 @@ def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrac
     """Solve to the first position matching `pattern`.
 
     A start that already matches yields the empty trace; otherwise the
-    target is the matching position with the smallest canonical encoding.
+    target is the matching position with the smallest canonical encoding,
+    which is the smallest code: the encoding is the code, big-endian at a
+    fixed width.
     """
-    from .search import iter_matching_positions, pattern_conflicts
+    from .search import matching_codes
 
     validate_position(spec, start)
     if pattern.matches(spec, start):
         return SolutionTrace(start, start, ())
-    best = None
-    from .model import canonical_encoding
-
-    for p in iter_matching_positions(spec, pattern):
-        enc = canonical_encoding(spec, p)
-        if best is None or enc < best[0]:
-            best = (enc, p)
-    if best is None:
-        raise UnsatisfiablePatternError(
-            "no valid position matches the goal pattern", pattern_conflicts(spec, pattern)
-        )
-    return solve_inglenook(spec, start, best[1])
+    best = min(matching_codes(spec, pattern, "the goal pattern"))
+    return solve_inglenook(spec, start, Position(position_codec(spec).decode(best)))
 
 
 # --- trace text format ----------------------------------------------------

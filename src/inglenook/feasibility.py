@@ -31,7 +31,8 @@ class FeasibilityVerdict:
     slack: int
 
     def __post_init__(self):
-        assert self.solvable == (self.branch in _AFFIRMATIVE)
+        if self.solvable != (self.branch in _AFFIRMATIVE):
+            raise AssertionError(f"branch {self.branch} contradicts solvable={self.solvable}")
 
 
 class UnsolvableError(InglenookError):

@@ -10,7 +10,9 @@ relocations in a fixed order.  Levels therefore come out in a fixed order,
 so reported distances, exploration counts, and tie-broken traces are
 reproducible bit-for-bit.  An exact card-pile diameter takes one search per
 pile-size composition: renaming cards is a graph automorphism, so a state's
-eccentricity depends only on its pile sizes.
+eccentricity depends only on its pile sizes.  A goal pattern compiles once,
+by `_compile_match`, into a masked compare per alternative plus one set test
+per any-order track.
 """
 
 from __future__ import annotations
@@ -85,22 +87,6 @@ class TrackRule:
         object.__setattr__(self, "wagons", tuple(self.wagons))
         if self.kind not in (EXACT, SET_ANY_ORDER, EMPTY, ANY):
             raise FormatError(f"unknown track rule kind {self.kind!r}")
-
-
-def exact(*wagons: int) -> TrackRule:
-    return TrackRule(EXACT, wagons)
-
-
-def any_order(*wagons: int) -> TrackRule:
-    return TrackRule(SET_ANY_ORDER, wagons)
-
-
-def empty() -> TrackRule:
-    return TrackRule(EMPTY)
-
-
-def anything() -> TrackRule:
-    return TrackRule(ANY)
 
 
 @dataclass(frozen=True)
@@ -267,11 +253,21 @@ def iter_matching_positions(spec: PuzzleSpec, pattern: GoalPattern):
         earlier.append(_compile_match(spec, GoalPattern((alt,))))
 
 
+def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[int]:
+    """Codes of every valid position matching the pattern, in enumeration
+    order; refuses a pattern that no position matches, naming it `what`."""
+    codec = position_codec(spec)
+    codes = [codec.encode(p.tracks) for p in iter_matching_positions(spec, pattern)]
+    if not codes:
+        raise UnsatisfiablePatternError(
+            f"no valid position matches {what}", pattern_conflicts(spec, pattern)
+        )
+    return codes
+
+
 def _iter_alternative(spec: PuzzleSpec, alt: tuple[TrackRule, ...]):
-    pinned = [w for rule in alt for w in rule.wagons if rule.kind in (EXACT, SET_ANY_ORDER)]
-    if len(set(pinned)) != len(pinned):
-        return
-    loose = sorted(set(range(1, spec.w + 1)) - set(pinned))
+    pinned = {w for rule in alt for w in rule.wagons if rule.kind in (EXACT, SET_ANY_ORDER)}
+    loose = sorted(set(range(1, spec.w + 1)) - pinned)
     set_tracks = [i for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER]
     any_tracks = [i for i, rule in enumerate(alt) if rule.kind == ANY]
 
@@ -431,60 +427,43 @@ def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: in
 
 
 def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
-    """Turn a pattern into a predicate over packed position codes."""
+    """Turn a pattern into a predicate over packed position codes.
+
+    Each satisfiable alternative compiles to (mask, value, sets): its exact
+    and empty tracks, and the slots past each any-order track's wanted
+    count, must read `code & mask == value`; each any-order track's leading
+    slots, given by their shifts, must hold exactly its wanted set.  An
+    alternative that `_alternative_conflict` rejects matches no valid
+    position and is dropped.
+    """
     codec = position_codec(spec)
-    bits = codec.bits
-    slot_mask = codec.slot_mask
+    bits, slot = codec.bits, codec.slot_mask
     compiled = []
     for alt in pattern.alternatives:
         if len(alt) != spec.s + 1:
             raise FormatError(f"alternative has {len(alt)} tracks, spec has {spec.s + 1}")
-        checks = []
+        if _alternative_conflict(spec, alt):
+            continue
+        mask = 0
+        sets = []
         for i, rule in enumerate(alt):
-            shift, mask, cap = codec.low_shift[i], codec.seg_mask[i], codec.caps[i]
-            if rule.kind == EMPTY:
-                checks.append(("eq", shift, mask, 0))
-            elif rule.kind == EXACT:
-                if len(rule.wagons) > cap:
-                    checks.append(("never",))
-                    break
-                seg = 0
-                for x in rule.wagons:
-                    seg = (seg << bits) | x
-                seg <<= bits * (cap - len(rule.wagons))
-                checks.append(("eq", shift, mask, seg))
+            shift, cap = codec.low_shift[i], codec.caps[i]
+            if rule.kind in (EXACT, EMPTY):
+                mask |= codec.seg_mask[i] << shift
             elif rule.kind == SET_ANY_ORDER:
-                if len(rule.wagons) > cap:
-                    checks.append(("never",))
-                    break
-                checks.append(("set", shift, mask, cap, frozenset(rule.wagons)))
-        compiled.append(checks)
+                k = len(rule.wagons)
+                mask |= ((1 << bits * (cap - k)) - 1) << shift
+                shifts = tuple(shift + bits * (cap - 1 - j) for j in range(k))
+                sets.append((shifts, frozenset(rule.wagons)))
+        value = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
+        compiled.append((mask, value, tuple(sets)))
 
     def match(code: int) -> bool:
-        for checks in compiled:
-            ok = True
-            for check in checks:
-                if check[0] == "eq":
-                    _, shift, mask, seg = check
-                    if (code >> shift) & mask != seg:
-                        ok = False
-                        break
-                elif check[0] == "never":
-                    ok = False
-                    break
-                else:
-                    _, shift, mask, cap, wanted = check
-                    v = (code >> shift) & mask
-                    got = set()
-                    for j in range(cap - 1, -1, -1):
-                        x = (v >> (bits * j)) & slot_mask
-                        if x == 0:
-                            break
-                        got.add(x)
-                    if len(got) != len(wanted) or got != wanted:
-                        ok = False
-                        break
-            if ok:
+        for mask, value, sets in compiled:
+            if code & mask == value and all(
+                {(code >> shift) & slot for shift in shifts} == wanted
+                for shifts, wanted in sets
+            ):
                 return True
         return False
 
@@ -498,9 +477,11 @@ def _reconstruct(spec: PuzzleSpec, levels: list[list[int]], end: int, distance: 
     cur = Position(codec.decode(end))
     moves: list[ShuntMove] = []
     for depth in range(distance, 0, -1):
-        prev = set(levels[depth - 1])
-        for fwd, pred in _forward_candidates(spec, cur):
-            if codec.encode(pred.tracks) in prev:
+        candidates = [(fwd, pred, codec.encode(pred.tracks))
+                      for fwd, pred in _forward_candidates(spec, cur)]
+        found = {code for _fwd, _pred, code in candidates}.intersection(levels[depth - 1])
+        for fwd, pred, code in candidates:
+            if code in found:
                 moves.append(fwd)
                 cur = pred
                 break
@@ -585,11 +566,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     if total > budget:
         raise BudgetExceededError(budget, total, "worst-case sweep")
     codec = position_codec(spec)
-    sources = [codec.encode(p.tracks) for p in iter_matching_positions(spec, goal)]
-    if not sources:
-        raise UnsatisfiablePatternError(
-            "no valid position matches the goal pattern", pattern_conflicts(spec, goal)
-        )
+    sources = matching_codes(spec, goal, "the goal pattern")
     levels, visited, _hit, _d = _bfs_levels(_shunt_moves(spec), sources, budget=budget)
     explored = sum(len(level) for level in levels)
 
@@ -672,23 +649,25 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     pile sizes has the same eccentricity: one search per pile-size
     composition, from cards 1..w dealt in order, covers every state.  The
     budget is checked against the states those searches visit: the number
-    of compositions times the state count.
+    of compositions times the state count.  The graph is connected exactly
+    when a search reaches every state; only a disconnected graph is
+    censused, for the error it raises.
     """
-    work = _compositions(spec.m, spec.w) * count_states(spec)
+    total = count_states(spec)
+    work = _compositions(spec.m, spec.w) * total
     if work > budget:
         raise BudgetExceededError(budget, work, "all-sources diameter")
-    census = cards_component_census(spec, budget=budget)
-    if census.components != 1:
-        raise DisconnectedGraphError(census)
 
     moves = _card_moves(spec)
     codec = state_codec(spec)
     cards = tuple(range(1, spec.w + 1))
     diameter = 0
     for sizes in _track_lengths(spec.m, spec.w):
-        levels, _visited, _hit, _d = _bfs_levels(
+        levels, visited, _hit, _d = _bfs_levels(
             moves, [codec.encode(_cut(cards, sizes))], budget=budget
         )
+        if len(visited) != total:
+            raise DisconnectedGraphError(cards_component_census(spec, budget=budget))
         diameter = max(diameter, len(levels) - 1)
 
     lower_bound_family = spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1)

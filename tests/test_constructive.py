@@ -3,7 +3,11 @@ between card moves and shunt moves."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -276,8 +280,31 @@ def test_solve_to_pattern_matching_start_is_empty_trace():
 def test_solve_to_pattern_unsatisfiable_reports_conflicts():
     start = parse_position(CLASSIC, "H:[]|S1:[]|S2:[4,7,8]|S3:[1,6,2,3,5]")
     pattern = parse_pattern(CLASSIC, "S1 = [1,2,3,4]")
-    with pytest.raises(UnsatisfiablePatternError, match="capacity"):
+    with pytest.raises(UnsatisfiablePatternError,
+                       match="^no valid position matches the goal pattern: .*capacity"):
         solve_to_pattern(CLASSIC, start, pattern)
+
+
+def test_constructive_checks_survive_python_O():
+    # `python -O` strips assert statements; a wrong card path must still be
+    # refused by solve_cards' replay check
+    script = (
+        "from inglenook import CardsSpec, CardsState, constructive\n"
+        "assert False, 'assert statements must be stripped'\n"
+        "constructive._cards_path = lambda caps, cur, goal: []\n"
+        "try:\n"
+        "    constructive.solve_cards(CardsSpec(3, (2, 2, 1)),\n"
+        "                             CardsState(((1, 2), (3,), ())),\n"
+        "                             CardsState(((2, 1), (3,), ())))\n"
+        "except AssertionError:\n"
+        "    print('refused')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
 
 
 def test_card_move_formatting():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inglenook import (
+    PULL,
     CardsSpec,
     CardsState,
     Position,
@@ -42,12 +43,17 @@ from inglenook import (
 )
 from inglenook.model import position_codec, state_codec
 from inglenook.search import (
+    ANY,
+    EMPTY,
+    EXACT,
+    SET_ANY_ORDER,
     BudgetExceededError,
     DisconnectedGraphError,
     GoalPattern,
     TrackRule,
     _bfs_levels,
     _card_moves,
+    _compile_match,
     _shunt_moves,
     pattern_conflicts,
 )
@@ -126,6 +132,28 @@ def test_optimal_trace_tie_break_is_deterministic():
     assert first.explored == second.explored
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_optimal_trace_is_the_first_forward_move_back_to_the_start(data):
+    # rebuilt from the oracle's distances alone: walk back from the goal,
+    # taking the first forward move in (siding, pull before push, count)
+    # order whose predecessor is one step nearer the start
+    spec, start = data.draw(specs_with_positions(max_w=4, max_h=2, max_s=3, max_cap=2))
+    dist = naive_distances(spec, start)
+    goal = data.draw(st.sampled_from(sorted(dist, key=lambda p: canonical_encoding(spec, p))))
+    want, cur = [], goal
+    while dist[cur]:
+        back = []
+        for mv in legal_moves(spec, cur):
+            fwd, pred = mv.inverse(), apply_move(spec, cur, mv)
+            if dist[pred] == dist[cur] - 1:
+                back.append(((fwd.siding, fwd.direction != PULL, fwd.count), fwd, pred))
+        _key, fwd, cur = min(back, key=lambda b: b[0])
+        want.append(fwd)
+    report = optimal_solve(spec, start, GoalPattern.exact_position(goal))
+    assert list(report.trace.moves) == want[::-1]
+
+
 def test_budget_refusal_is_clean():
     with pytest.raises(BudgetExceededError) as err:
         optimal_solve(SMALL, Position(((), (1, 2), (3, 4), ())),
@@ -176,6 +204,66 @@ def test_pattern_enumeration_keeps_first_alternative_order():
             if p not in expected:
                 expected.append(p)
     assert list(iter_matching_positions(SMALL, pattern)) == expected
+
+
+@st.composite
+def _specs_with_patterns(draw):
+    """Small specs with patterns of every rule kind, over several
+    alternatives, including over-capacity, out-of-range and twice-pinned
+    wagons."""
+    spec = draw(puzzle_specs(max_w=4, max_h=2, max_s=3, max_cap=2))
+    wagon = st.integers(0, spec.w + 1)
+    alternatives = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.permutations(list(range(1, spec.w + 1))))
+        alt = []
+        for i in range(spec.s + 1):
+            kind = draw(st.sampled_from([ANY, EMPTY, EXACT, SET_ANY_ORDER]))
+            wagons = ()
+            if kind in (EXACT, SET_ANY_ORDER):
+                n = draw(st.integers(0, spec.track_capacity(i) + 1))
+                wagons, pool = pool[:n], pool[n:]
+                if draw(st.booleans()):
+                    wagons = draw(st.lists(wagon, max_size=spec.track_capacity(i) + 1))
+            alt.append(TrackRule(kind, wagons))
+        alternatives.append(tuple(alt))
+    return spec, GoalPattern(tuple(alternatives))
+
+
+@given(_specs_with_patterns())
+@settings(max_examples=150, deadline=None)
+def test_compiled_goal_agrees_with_object_level_match(case):
+    spec, pattern = case
+    codec = position_codec(spec)
+    match = _compile_match(spec, pattern)
+    for p in all_positions(spec):
+        assert match(codec.encode(p.tracks)) == pattern.matches(spec, p), p
+
+
+def test_compiled_goal_with_labels_past_the_slot_high_bit():
+    spec = PuzzleSpec(200, 1, (200,))
+    codec = position_codec(spec)
+    rest = tuple(w for w in range(1, 201) if w != 128)
+    starts = [Position(((), tuple(range(200, 0, -1)))),
+              Position(((128,), rest[::-1])),
+              Position(((200,), tuple(range(1, 200))))]
+    patterns = [
+        parse_pattern(spec, "H = []"),
+        parse_pattern(spec, "H = [128]"),
+        parse_pattern(spec, "H ~ {200}"),
+        parse_pattern(spec, "H ~ {129}\nH = [128]"),
+        GoalPattern(((TrackRule(EMPTY), TrackRule(SET_ANY_ORDER, range(1, 201))),)),
+        GoalPattern(((TrackRule(ANY), TrackRule(SET_ANY_ORDER, rest)),)),
+        GoalPattern(((TrackRule(ANY), TrackRule(EXACT, range(200, 0, -1))),)),
+    ]
+    seen = set()
+    for pattern in patterns:
+        match = _compile_match(spec, pattern)
+        for p in starts:
+            got = match(codec.encode(p.tracks))
+            assert got == pattern.matches(spec, p), (pattern, p)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_pattern_conflicts_report():
@@ -251,7 +339,12 @@ def test_census_matches_union_find(seed):
     m = tuple(rng.randint(1, 3) for _ in range(npiles))
     w = rng.randint(1, min(4, sum(m)))
     spec = CardsSpec(w, m)
-    assert cards_component_census(spec).components == naive_cards_components(spec)
+    components = naive_cards_components(spec)
+    assert cards_component_census(spec).components == components
+    if components > 1:
+        with pytest.raises(DisconnectedGraphError) as err:
+            cards_diameter(spec)
+        assert err.value.census.components == components
 
 
 def test_census_sizes_sum_to_state_count():
@@ -418,7 +511,10 @@ def test_occupancy_mask_with_labels_past_the_slot_high_bit():
 
 
 def test_search_checks_are_not_asserts():
-    # `python -O` strips assert statements; the search's checks must stay
-    path = Path(__file__).resolve().parent.parent / "src" / "inglenook" / "search.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # `python -O` strips assert statements; the library's checks must stay
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "inglenook").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found
