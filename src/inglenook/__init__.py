@@ -26,7 +26,6 @@ from .model import (
     count_states,
     decode_position,
     format_position,
-    format_spec,
     from_cards,
     is_convertible,
     legal_moves,
@@ -68,7 +67,7 @@ from .search import (
     cards_component_census,
     cards_diameter,
     cards_distance,
-    iter_matching_positions,
+    matching_codes,
     optimal_solve,
     ordering_displacement,
     parse_pattern,

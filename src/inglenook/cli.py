@@ -47,11 +47,9 @@ def _load_spec(args) -> model.PuzzleSpec:
         return model.parse_spec_text(_read_source(args.spec))
     if args.wagons is None or args.headshunt is None or args.sidings is None:
         raise FormatError("give --spec or all of --wagons/--headshunt/--sidings")
-    caps = args.sidings.split()
-    if not caps or not all(c.isdigit() for c in caps):
-        raise FormatError(f"--sidings must be space-separated integers, got {args.sidings!r}")
+    caps = model.parse_capacities("--sidings", args.sidings)
     try:
-        return model.PuzzleSpec(args.wagons, args.headshunt, tuple(int(c) for c in caps))
+        return model.PuzzleSpec(args.wagons, args.headshunt, caps)
     except model.InvalidSpecError as exc:
         raise FormatError(str(exc)) from None
 
@@ -131,13 +129,11 @@ def cmd_worst(args) -> int:
 
 def cmd_diameter(args) -> int:
     if args.piles is not None:
-        caps = args.piles.split()
-        if not caps or not all(c.isdigit() for c in caps):
-            raise FormatError(f"--piles must be space-separated integers, got {args.piles!r}")
+        caps = model.parse_capacities("--piles", args.piles)
         if args.cards is None:
             raise FormatError("--piles needs --cards for the card count")
         try:
-            cspec = model.CardsSpec(args.cards, tuple(int(c) for c in caps))
+            cspec = model.CardsSpec(args.cards, caps)
         except model.InvalidSpecError as exc:
             raise FormatError(str(exc)) from None
     else:

@@ -417,7 +417,6 @@ def _compositions(caps: tuple[int, ...], total: int) -> int:
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9]+$")
 _TRACK_RE = re.compile(r"^(H|S(\d+)):\[([^\[\]]*)\]$")
 _MOVE_RE = re.compile(r"^(PULL|PUSH)\s+(\d+)\s+S(\d+)$")
-_CARD_MOVE_RE = re.compile(r"^CARD\s+(\d+)\s*->\s*(\d+)$")
 _KEYVAL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*?)\s*$")
 
 
@@ -436,8 +435,9 @@ class LabelTable:
 
     @classmethod
     def from_tokens(cls, tokens) -> LabelTable:
-        # numeric tokens sort numerically, others lexically after them
-        ordered = sorted(set(tokens), key=lambda t: (0, int(t), "") if t.isdigit() else (1, 0, t))
+        # numeric tokens sort numerically ("01" before "1"), others lexically
+        # after them
+        ordered = sorted(set(tokens), key=lambda t: (0, int(t), t) if t.isdecimal() else (1, 0, t))
         return cls(tuple(ordered))
 
     def label(self, token: str) -> int:
@@ -490,7 +490,7 @@ def parse_position_with_labels(spec: PuzzleSpec, text: str,
     per_track = parse_position_tokens(spec, text, line)
     flat = [tok for track in per_track for tok in track]
     if labels is None:
-        if all(t.isdigit() for t in flat) and sorted(int(t) for t in flat) == list(
+        if all(t.isdecimal() for t in flat) and sorted(int(t) for t in flat) == list(
             range(1, spec.w + 1)
         ):
             labels = LabelTable.identity(spec.w)
@@ -525,6 +525,18 @@ def format_position(p: Position, labels: LabelTable | None = None) -> str:
     return "|".join(fields)
 
 
+def parse_capacities(name: str, text: str, line: int | None = None,
+                     column: int | None = None) -> tuple[int, ...]:
+    """Parse space-separated decimal integers, such as siding or pile
+    capacities; `name` names the field in the error."""
+    caps = text.split()
+    if not caps or not all(c.isdecimal() for c in caps):
+        raise FormatError(
+            f"{name} must be space-separated positive integers, got {text!r}", line, column
+        )
+    return tuple(int(c) for c in caps)
+
+
 def parse_spec_text(text: str) -> PuzzleSpec:
     """Parse the line-oriented `key = value` spec format."""
     values: dict[str, object] = {}
@@ -545,19 +557,13 @@ def parse_spec_text(text: str) -> PuzzleSpec:
             raise FormatError(f"duplicate key {key!r}", lineno, m.start(1) + 1)
         lines_seen[key] = lineno
         if key in ("wagons", "headshunt"):
-            if not value.isdigit():
+            if not value.isdecimal():
                 raise FormatError(
                     f"{key} must be a positive integer, got {value!r}", lineno, value_col
                 )
             values[key] = int(value)
         elif key == "sidings":
-            caps = value.split()
-            if not caps or not all(c.isdigit() for c in caps):
-                raise FormatError(
-                    f"sidings must be space-separated positive integers, got {value!r}",
-                    lineno, value_col,
-                )
-            values[key] = tuple(int(c) for c in caps)
+            values[key] = parse_capacities(key, value, lineno, value_col)
         else:
             raise FormatError(f"unknown key {key!r}", lineno, m.start(1) + 1)
     for key in ("wagons", "headshunt", "sidings"):
@@ -569,11 +575,6 @@ def parse_spec_text(text: str) -> PuzzleSpec:
         key = "sidings" if "siding" in str(exc) else (
             "headshunt" if "headshunt" in str(exc) else "wagons")
         raise FormatError(str(exc), lines_seen.get(key)) from None
-
-
-def format_spec(spec: PuzzleSpec) -> str:
-    sidings = " ".join(str(c) for c in spec.m)
-    return f"wagons = {spec.w}\nheadshunt = {spec.h}\nsidings = {sidings}\n"
 
 
 def format_move(mv: ShuntMove) -> str:
@@ -589,10 +590,3 @@ def parse_move(text: str, line: int | None = None) -> ShuntMove:
     if count < 1:
         raise FormatError("move count must be positive", line)
     return ShuntMove(int(m.group(3)), direction, count)
-
-
-def parse_card_move_text(text: str, line: int | None = None) -> tuple[int, int]:
-    m = _CARD_MOVE_RE.match(text.strip())
-    if not m:
-        raise FormatError(f"bad card move {text.strip()!r}", line)
-    return int(m.group(1)), int(m.group(2))

@@ -12,12 +12,16 @@ reproducible bit-for-bit.  An exact card-pile diameter takes one search per
 pile-size composition: renaming cards is a graph automorphism, so a state's
 eccentricity depends only on its pile sizes.  A goal pattern compiles once,
 by `_compile_match`, into a masked compare per alternative plus one set test
-per any-order track.
+per any-order track.  One enumerator, `_alternative_codes`, lists the codes
+an alternative allows straight from the codec's slot shifts; it serves the
+pattern matches of `gen`, `solve` and `worst`, and, with every pile `ANY`,
+the card states of the census and the diameter.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -233,31 +237,24 @@ def _alternative_conflict(spec: PuzzleSpec, alt: tuple[TrackRule, ...]) -> str |
     return None
 
 
-def iter_matching_positions(spec: PuzzleSpec, pattern: GoalPattern):
-    """Yield every valid position matching the pattern, deterministically.
+def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[int]:
+    """Codes of every valid position matching the pattern, in enumeration
+    order; refuses a pattern that no position matches, naming it `what`.
 
-    A position matching several alternatives is yielded once, under the
+    A position matching several alternatives is listed once, under the
     first of them: later alternatives skip what an earlier one matches.
     """
     codec = position_codec(spec)
+    codes: list[int] = []
     earlier = []
     for alt in pattern.alternatives:
         if _alternative_conflict(spec, alt):
             continue
-        for p in _iter_alternative(spec, alt):
-            if earlier:
-                code = codec.encode(p.tracks)
-                if any(match(code) for match in earlier):
-                    continue
-            yield p
+        found = _alternative_codes(codec, alt, spec.w)
+        if earlier:
+            found = (code for code in found if not any(match(code) for match in earlier))
+        codes.extend(found)
         earlier.append(_compile_match(spec, GoalPattern((alt,))))
-
-
-def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[int]:
-    """Codes of every valid position matching the pattern, in enumeration
-    order; refuses a pattern that no position matches, naming it `what`."""
-    codec = position_codec(spec)
-    codes = [codec.encode(p.tracks) for p in iter_matching_positions(spec, pattern)]
     if not codes:
         raise UnsatisfiablePatternError(
             f"no valid position matches {what}", pattern_conflicts(spec, pattern)
@@ -265,31 +262,37 @@ def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[in
     return codes
 
 
-def _iter_alternative(spec: PuzzleSpec, alt: tuple[TrackRule, ...]):
-    pinned = {w for rule in alt for w in rule.wagons if rule.kind in (EXACT, SET_ANY_ORDER)}
-    loose = sorted(set(range(1, spec.w + 1)) - pinned)
-    set_tracks = [i for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER]
-    any_tracks = [i for i, rule in enumerate(alt) if rule.kind == ANY]
+def _alternative_codes(codec, alt: tuple[TrackRule, ...], w: int):
+    """Yield the code of every layout of wagons 1..w that a satisfiable
+    alternative allows, summed from the codec's slot shifts.
 
-    set_choices = [
-        list(itertools.permutations(sorted(alt[i].wagons))) for i in set_tracks
+    The orders of the any-order tracks vary slowest, then the permutations
+    of the loose wagons, then their `_track_lengths` layouts over the `ANY`
+    tracks, each run filling its track's leading slots.
+    """
+    base = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
+    pinned = {x for rule in alt if rule.kind in (EXACT, SET_ANY_ORDER) for x in rule.wagons}
+    loose = sorted(set(range(1, w + 1)) - pinned)
+    orders = [
+        [sum(map(operator.lshift, order, _leading_shifts(codec, i, len(rule.wagons))))
+         for order in itertools.permutations(sorted(rule.wagons))]
+        for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER
     ]
-    lengths = list(_track_lengths([spec.track_capacity(i) for i in any_tracks], len(loose)))
-    for set_pick in itertools.product(*set_choices):
+    any_tracks = [i for i, rule in enumerate(alt) if rule.kind == ANY]
+    layouts = [
+        [shift for i, k in zip(any_tracks, lens) for shift in _leading_shifts(codec, i, k)]
+        for lens in _track_lengths([codec.caps[i] for i in any_tracks], len(loose))
+    ]
+    for pick in itertools.product(*orders):
+        fixed = base + sum(pick)
         for perm in itertools.permutations(loose):
-            for lens in lengths:
-                distribution = _cut(perm, lens)
-                tracks: list[tuple[int, ...]] = []
-                for i, rule in enumerate(alt):
-                    if rule.kind == EXACT:
-                        tracks.append(rule.wagons)
-                    elif rule.kind == EMPTY:
-                        tracks.append(())
-                    elif rule.kind == SET_ANY_ORDER:
-                        tracks.append(set_pick[set_tracks.index(i)])
-                    else:
-                        tracks.append(distribution[any_tracks.index(i)])
-                yield Position(tuple(tracks))
+            for shifts in layouts:
+                yield fixed + sum(map(operator.lshift, perm, shifts))
+
+
+def _leading_shifts(codec, track: int, n: int) -> list[int]:
+    """Shifts of the first n slots of a track, in slot order."""
+    return [codec.low_shift[track] + codec.bits * (codec.caps[track] - 1 - j) for j in range(n)]
 
 
 def _track_lengths(caps, total: int):
@@ -303,16 +306,6 @@ def _track_lengths(caps, total: int):
     for k in range(min(caps[0], total) + 1):
         for rest in _track_lengths(caps[1:], total - k):
             yield (k,) + rest
-
-
-def _cut(seq: tuple[int, ...], lengths: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cut seq into consecutive runs of the given lengths."""
-    runs = []
-    at = 0
-    for k in lengths:
-        runs.append(seq[at : at + k])
-        at += k
-    return tuple(runs)
 
 
 # --- breadth-first kernel ---------------------------------------------------
@@ -453,8 +446,7 @@ def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
             elif rule.kind == SET_ANY_ORDER:
                 k = len(rule.wagons)
                 mask |= ((1 << bits * (cap - k)) - 1) << shift
-                shifts = tuple(shift + bits * (cap - 1 - j) for j in range(k))
-                sets.append((shifts, frozenset(rule.wagons)))
+                sets.append((_leading_shifts(codec, i, k), frozenset(rule.wagons)))
         value = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
         compiled.append((mask, value, tuple(sets)))
 
@@ -511,7 +503,6 @@ class SearchReport:
     distance: int | None
     trace: SolutionTrace | None
     explored: int
-    peak_frontier: int
 
 
 @dataclass
@@ -522,7 +513,6 @@ class WorstCaseReport:
     distance: int | None
     start: Position | None
     explored: int
-    goal_states: int
 
 
 def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
@@ -543,14 +533,13 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
         _shunt_moves(spec), [codec.encode(start.tracks)], match=match, budget=budget
     )
     explored = sum(len(level) for level in levels)
-    peak = max(len(level) for level in levels)
     if hit is None:
-        return SearchReport(None, None, explored, peak)
+        return SearchReport(None, None, explored)
     moves, origin = _reconstruct(spec, levels, hit, distance)
     if origin != start:
         raise AssertionError("the optimal trace must lead back to the start")
     trace = SolutionTrace(start, Position(codec.decode(hit)), tuple(moves))
-    return SearchReport(distance, trace, explored, peak)
+    return SearchReport(distance, trace, explored)
 
 
 def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern, *,
@@ -573,15 +562,15 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     if explored < total:
         # Some positions cannot reach the goal set at all; report the first
         # matching start among them, if any.
-        for p in iter_matching_positions(spec, start_pattern):
-            if codec.encode(p.tracks) not in visited:
-                return WorstCaseReport(None, p, explored, len(sources))
+        for code in matching_codes(spec, start_pattern, "the start pattern"):
+            if code not in visited:
+                return WorstCaseReport(None, Position(codec.decode(code)), explored)
 
     smatch = _compile_match(spec, start_pattern)
     for depth in range(len(levels) - 1, -1, -1):
         for code in levels[depth]:
             if smatch(code):
-                return WorstCaseReport(depth, Position(codec.decode(code)), explored, len(sources))
+                return WorstCaseReport(depth, Position(codec.decode(code)), explored)
     raise UnsatisfiablePatternError(
         "no valid position matches the start pattern", pattern_conflicts(spec, start_pattern)
     )
@@ -596,13 +585,11 @@ class CensusReport:
     sizes: tuple[int, ...]  # descending
 
 
-def _iter_state_codes(spec: CardsSpec):
-    """All packed card states, grouped by pile-size composition."""
-    codec = state_codec(spec)
-    cards = range(1, spec.w + 1)
-    for sizes in _track_lengths(spec.m, spec.w):
-        for perm in itertools.permutations(cards):
-            yield codec.encode(_cut(perm, sizes))
+def _card_state_codes(spec: CardsSpec):
+    """Every card state's code: the alternative with every pile `ANY`.
+    The first `_compositions(spec.m, spec.w)` codes deal cards 1..w in order
+    over each pile-size composition, in `_track_lengths` order."""
+    return _alternative_codes(state_codec(spec), (TrackRule(ANY),) * len(spec.m), spec.w)
 
 
 def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> CensusReport:
@@ -613,7 +600,7 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
     moves = _card_moves(spec)
     visited: set[int] = set()
     sizes = []
-    for seed in _iter_state_codes(spec):
+    for seed in _card_state_codes(spec):
         if seed in visited:
             continue
         levels, _visited, _hit, _d = _bfs_levels(moves, [seed], budget=budget, visited=visited)
@@ -654,18 +641,15 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     censused, for the error it raises.
     """
     total = count_states(spec)
-    work = _compositions(spec.m, spec.w) * total
-    if work > budget:
-        raise BudgetExceededError(budget, work, "all-sources diameter")
+    shapes = _compositions(spec.m, spec.w)
+    if shapes * total > budget:
+        raise BudgetExceededError(budget, shapes * total, "all-sources diameter")
 
     moves = _card_moves(spec)
-    codec = state_codec(spec)
-    cards = tuple(range(1, spec.w + 1))
     diameter = 0
-    for sizes in _track_lengths(spec.m, spec.w):
-        levels, visited, _hit, _d = _bfs_levels(
-            moves, [codec.encode(_cut(cards, sizes))], budget=budget
-        )
+    # the first `shapes` codes deal cards 1..w in order over each composition
+    for source in itertools.islice(_card_state_codes(spec), shapes):
+        levels, visited, _hit, _d = _bfs_levels(moves, [source], budget=budget)
         if len(visited) != total:
             raise DisconnectedGraphError(cards_component_census(spec, budget=budget))
         diameter = max(diameter, len(levels) - 1)

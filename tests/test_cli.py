@@ -10,7 +10,7 @@ import string
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inglenook.cli import run
@@ -243,6 +243,7 @@ def test_fuzzed_start_never_crashes(text):
 
 
 @given(st.text(alphabet=string.printable, max_size=80))
+@example("wagons = \u00b2\nheadshunt = 3\nsidings = 3 3 5")
 @settings(max_examples=80, deadline=None)
 def test_fuzzed_spec_never_crashes(text):
     code, _, err = run_cli("check", "--spec", text.replace("\x00", ""))
@@ -266,6 +267,19 @@ def test_directory_or_undecodable_flag_values_are_input_errors(tmp_path):
     code, _, err = run_cli("check", "--spec", str(binary))
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--spec", "wagons = \u00b2\nheadshunt = 3\nsidings = 3 3 5"),
+    ("check", "--wagons", "8", "--headshunt", "3", "--sidings", "3 3 \u00b2"),
+    ("diameter", "--cards", "3", "--piles", "2 2 \u00b9"),
+])
+def test_superscript_digits_are_input_errors(argv):
+    # str.isdigit accepts superscripts, which int() rejects
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_siding_zero_in_a_pattern_is_an_input_error(fixtures_dir):

@@ -30,8 +30,8 @@ from inglenook import (
     cards_distance,
     count_positions,
     count_states,
-    iter_matching_positions,
     legal_moves,
+    matching_codes,
     optimal_solve,
     ordering_displacement,
     parse_pattern,
@@ -179,7 +179,9 @@ def test_optimality_never_beats_constructive():
 
 def test_pattern_matching_and_enumeration():
     pattern = parse_pattern(SMALL, "H = []; S1 ~ {1,2}; S3 = [3]")
-    matches = list(iter_matching_positions(SMALL, pattern))
+    codec = position_codec(SMALL)
+    matches = [Position(codec.decode(code))
+               for code in matching_codes(SMALL, pattern, "the pattern")]
     # S1 holds {1,2} in some order, S3 is exactly (3), wagon 4 goes anywhere
     # with space outside the headshunt (H pinned empty): S2 has 2 slots
     assert all(pattern.matches(SMALL, p) for p in matches)
@@ -190,8 +192,8 @@ def test_pattern_matching_and_enumeration():
 
 def test_pattern_enumeration_handles_alternatives_without_duplicates():
     pattern = parse_pattern(SMALL, "H = *\n*")
-    everything = list(iter_matching_positions(SMALL, pattern))
-    assert len(everything) == count_positions(SMALL)
+    everything = matching_codes(SMALL, pattern, "the pattern")
+    assert len(everything) == len(set(everything)) == count_positions(SMALL)
 
 
 def test_pattern_enumeration_keeps_first_alternative_order():
@@ -200,10 +202,33 @@ def test_pattern_enumeration_keeps_first_alternative_order():
     pattern = parse_pattern(SMALL, "S1 ~ {1,2}\nH = []\nS1 ~ {1,2}; S3 = [3]")
     expected = []
     for alt in pattern.alternatives:
-        for p in iter_matching_positions(SMALL, GoalPattern((alt,))):
-            if p not in expected:
-                expected.append(p)
-    assert list(iter_matching_positions(SMALL, pattern)) == expected
+        for code in matching_codes(SMALL, GoalPattern((alt,)), "the pattern"):
+            if code not in expected:
+                expected.append(code)
+    assert matching_codes(SMALL, pattern, "the pattern") == expected
+
+
+def test_pattern_enumeration_order_is_locked():
+    # any-order tracks' orders slowest, then permutations of the loose
+    # wagons, then their layouts; the second alternative skips the codes
+    # the first one matches
+    pattern = parse_pattern(SMALL, "S1 ~ {1,2}; S3 = [3]\nS3 = [3]; H = []")
+    assert matching_codes(SMALL, pattern, "the pattern") == [
+        0x102040003, 0x4000102000003, 0x201040003, 0x4000201000003, 0x100020403,
+        0x100040203, 0x104020003, 0x200010403, 0x200040103, 0x204010003,
+        0x400010203, 0x401020003, 0x400020103, 0x402010003,
+    ]
+
+
+def test_pattern_enumeration_with_sixteen_bit_slots():
+    spec = PuzzleSpec(300, 2, (300,))
+    assert position_codec(spec).bits == 16
+    pinned = tuple(range(300, 2, -1))
+    pattern = GoalPattern(((TrackRule(ANY), TrackRule(EXACT, pinned)),))
+    expected = [Position(((1, 2), pinned)), Position(((2, 1), pinned))]
+    assert matching_codes(spec, pattern, "the pattern") == [
+        position_codec(spec).encode(p.tracks) for p in expected
+    ]
 
 
 @st.composite
@@ -238,6 +263,21 @@ def test_compiled_goal_agrees_with_object_level_match(case):
     match = _compile_match(spec, pattern)
     for p in all_positions(spec):
         assert match(codec.encode(p.tracks)) == pattern.matches(spec, p), p
+
+
+@given(_specs_with_patterns())
+@settings(max_examples=150, deadline=None)
+def test_matching_codes_are_the_matching_positions(case):
+    spec, pattern = case
+    codec = position_codec(spec)
+    want = {codec.encode(p.tracks) for p in all_positions(spec) if pattern.matches(spec, p)}
+    if not want:
+        with pytest.raises(UnsatisfiablePatternError, match="no valid position matches it"):
+            matching_codes(spec, pattern, "it")
+        return
+    codes = matching_codes(spec, pattern, "it")
+    assert len(codes) == len(set(codes))
+    assert set(codes) == want
 
 
 def test_compiled_goal_with_labels_past_the_slot_high_bit():
@@ -320,7 +360,21 @@ def test_worst_case_unreachable_start_reported():
     report = worst_case_moves(spec, GoalPattern.all_positions(spec),
                               GoalPattern.exact_position(goal))
     assert report.distance is None
-    assert report.start is not None
+    # the witness is the first start, in enumeration order, that cannot
+    # reach the goal
+    dist = naive_distances(spec, goal)
+    codec = position_codec(spec)
+    starts = [Position(codec.decode(code)) for code in
+              matching_codes(spec, GoalPattern.all_positions(spec), "the start pattern")]
+    assert report.start == next(p for p in starts if p not in dist)
+
+
+def test_worst_case_unsatisfiable_start_is_refused():
+    for spec in (PuzzleSpec(2, 5, (5,)), PuzzleSpec(2, 1, (2, 1))):  # disconnected, connected
+        with pytest.raises(UnsatisfiablePatternError,
+                           match="no valid position matches the start pattern"):
+            worst_case_moves(spec, parse_pattern(spec, "H = [1]; S1 = [1]"),
+                             parse_pattern(spec, "S1 = [1,2]"))
 
 
 # --- card analyses ----------------------------------------------------------
