@@ -12,6 +12,7 @@ from .model import (
     FormatError,
     IllegalMoveError,
     InglenookError,
+    InternalCheckError,
     InvalidPositionError,
     InvalidSpecError,
     InvalidStateError,

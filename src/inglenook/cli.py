@@ -3,7 +3,8 @@ worst-case sweeps, diameter studies, instance generation, and replay
 verification.
 
 Exit codes: 0 success, 1 negative result (unsolvable, unreachable,
-disconnected, bad replay), 2 input error, 3 budget refusal.
+disconnected, bad replay), 2 input error, 3 budget refusal, 4 failed
+internal check.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import sys
 
 from . import constructive, feasibility, model, search
 from .constructive import UnsatisfiablePatternError
-from .model import FormatError, IllegalMoveError, InglenookError, LabelTable
+from .model import FormatError, IllegalMoveError, InglenookError, InternalCheckError, LabelTable
 from .search import BudgetExceededError, DisconnectedGraphError, GoalPattern
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class ReplayFailure(InglenookError):
@@ -267,6 +269,9 @@ def run(argv=None) -> int:
             IllegalMoveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except InternalCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main(argv=None) -> None:

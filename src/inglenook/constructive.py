@@ -19,6 +19,7 @@ from .model import (
     CardsState,
     IllegalMoveError,
     InglenookError,
+    InternalCheckError,
     InvalidStateError,
     Position,
     PuzzleSpec,
@@ -120,11 +121,11 @@ def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> Solutio
     moves = _cards_path(list(spec.m), cur, want)
     trace = SolutionTrace(start, goal, tuple(moves))
     if trace.length > cards_move_bound(spec.w):
-        raise AssertionError(
+        raise InternalCheckError(
             f"{trace.length} card moves exceed the bound {cards_move_bound(spec.w)}"
         )
     if replay_cards(spec, start, trace.moves)[-1] != goal:
-        raise AssertionError("the card trace must replay to the goal")
+        raise InternalCheckError("the card trace must replay to the goal")
     return trace
 
 
@@ -232,7 +233,7 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
             move(target, dest)
         # The other piles always have room for the whole home pile.
         if sum(spaces(i) for i in range(n) if i != home) < len(piles[home]):
-            raise AssertionError("the other piles must have room for the home pile")
+            raise InternalCheckError("the other piles must have room for the home pile")
         while piles[home][-1] != anchor:
             dest = min((i for i in range(n) if i not in (home, target) and spaces(i)),
                        default=target)
@@ -255,7 +256,7 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
 
     # Stage three: uncover the anchor, leaving both reserves open.
     if sum(spaces(i) for i in range(n) if i != target) < len(piles[target]):
-        raise AssertionError("the other piles must have room for the target pile")
+        raise InternalCheckError("the other piles must have room for the target pile")
     while piles[target][-1] != anchor:
         choices = [i for i in range(n) if i not in (target, first, second) and spaces(i)]
         if choices:
@@ -265,7 +266,7 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
         elif spaces(second) >= 2:
             dest = second
         else:
-            raise AssertionError("a reserve pile must keep a spare slot")
+            raise InternalCheckError("a reserve pile must keep a spare slot")
         move(target, dest)
 
     # Stage four: park the anchor on one reserve and drain the target pile.
@@ -303,7 +304,7 @@ def _push_to_convertible(spec: PuzzleSpec, p: Position) -> ShuntMove:
     for r in range(1, spec.s + 1):
         if len(p.tracks[r]) < spec.m[r - 1]:
             return ShuntMove(r, PUSH, 1)
-    raise AssertionError("a valid spec always leaves space somewhere")
+    raise InternalCheckError("a valid spec always leaves space somewhere")
 
 
 def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> SolutionTrace:
@@ -340,11 +341,11 @@ def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> Soluti
 
     trace = SolutionTrace(start, goal, tuple(moves))
     if trace.length > inglenook_move_bound(spec.w):
-        raise AssertionError(
+        raise InternalCheckError(
             f"{trace.length} shunt moves exceed the bound {inglenook_move_bound(spec.w)}"
         )
     if replay(spec, start, trace.moves)[-1] != goal:
-        raise AssertionError("the shunt trace must replay to the goal")
+        raise InternalCheckError("the shunt trace must replay to the goal")
     return trace
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CardsSpec, InglenookError, PuzzleSpec
+from .model import CardsSpec, InglenookError, InternalCheckError, PuzzleSpec
 
 # Branch names reported by verdicts.
 BRANCH_SINGLE_WAGON = "w=1"
@@ -32,7 +32,7 @@ class FeasibilityVerdict:
 
     def __post_init__(self):
         if self.solvable != (self.branch in _AFFIRMATIVE):
-            raise AssertionError(f"branch {self.branch} contradicts solvable={self.solvable}")
+            raise InternalCheckError(f"branch {self.branch} contradicts solvable={self.solvable}")
 
 
 class UnsolvableError(InglenookError):

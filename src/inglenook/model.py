@@ -13,6 +13,11 @@ class InglenookError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InternalCheckError(InglenookError, AssertionError):
+    """An internal consistency check failed: a bug, not a bad input.  It is
+    an AssertionError too, but raised explicitly, so it survives `python -O`."""
+
+
 class InvalidSpecError(InglenookError):
     """A puzzle or card-pile specification violates a basic constraint."""
 
@@ -490,9 +495,7 @@ def parse_position_with_labels(spec: PuzzleSpec, text: str,
     per_track = parse_position_tokens(spec, text, line)
     flat = [tok for track in per_track for tok in track]
     if labels is None:
-        if all(t.isdecimal() for t in flat) and sorted(int(t) for t in flat) == list(
-            range(1, spec.w + 1)
-        ):
+        if sorted(flat) == sorted(str(i) for i in range(1, spec.w + 1)):
             labels = LabelTable.identity(spec.w)
         else:
             if len(set(flat)) != spec.w:

@@ -15,7 +15,11 @@ by `_compile_match`, into a masked compare per alternative plus one set test
 per any-order track.  One enumerator, `_alternative_codes`, lists the codes
 an alternative allows straight from the codec's slot shifts; it serves the
 pattern matches of `gen`, `solve` and `worst`, and, with every pile `ANY`,
-the card states of the census and the diameter.
+the card states of the census and the diameter.  `optimal_solve` grows the
+start and goal sides with the same level step and stops where they meet;
+it rebuilds the shortest-path layers from both sides' levels and takes,
+from the start, the first move in table order into the next layer, which
+is the trace a forward search alone would print.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .model import (
     CardsState,
     FormatError,
     InglenookError,
+    InternalCheckError,
     LabelTable,
     Position,
     PuzzleSpec,
@@ -239,13 +244,23 @@ def _alternative_conflict(spec: PuzzleSpec, alt: tuple[TrackRule, ...]) -> str |
 
 def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[int]:
     """Codes of every valid position matching the pattern, in enumeration
-    order; refuses a pattern that no position matches, naming it `what`.
+    order; refuses a pattern that no position matches, naming it `what`."""
+    codes = list(_iter_matching_codes(spec, pattern))
+    if not codes:
+        raise UnsatisfiablePatternError(
+            f"no valid position matches {what}", pattern_conflicts(spec, pattern)
+        )
+    return codes
 
-    A position matching several alternatives is listed once, under the
+
+def _iter_matching_codes(spec: PuzzleSpec, pattern: GoalPattern):
+    """Yield the codes of `matching_codes`, lazily, and nothing for an
+    unsatisfiable pattern.
+
+    A position matching several alternatives is yielded once, under the
     first of them: later alternatives skip what an earlier one matches.
     """
     codec = position_codec(spec)
-    codes: list[int] = []
     earlier = []
     for alt in pattern.alternatives:
         if _alternative_conflict(spec, alt):
@@ -253,13 +268,8 @@ def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[in
         found = _alternative_codes(codec, alt, spec.w)
         if earlier:
             found = (code for code in found if not any(match(code) for match in earlier))
-        codes.extend(found)
+        yield from found
         earlier.append(_compile_match(spec, GoalPattern((alt,))))
-    if not codes:
-        raise UnsatisfiablePatternError(
-            f"no valid position matches {what}", pattern_conflicts(spec, pattern)
-        )
-    return codes
 
 
 def _alternative_codes(codec, alt: tuple[TrackRule, ...], w: int):
@@ -378,6 +388,21 @@ def _card_moves(spec: CardsSpec) -> _MoveTable:
     return _MoveTable(state_codec(spec), (False,) * n, itertools.permutations(range(n), 2), 1)
 
 
+def _next_level(moves: _MoveTable, frontier, seen: set[int]) -> list[int]:
+    """The codes one move from `frontier` that `seen` lacks, in move order:
+    by parent, then by the parent's moves in table order.  They are added
+    to `seen`."""
+    low, high = moves.low, moves.high
+    nxt = []
+    for code in frontier:
+        for keep, f1, m1, t1, f2, m2, t2 in moves[(((code & low) + low) | code) & high]:
+            child = (code & keep) | (((code >> f1) & m1) << t1) | (((code >> f2) & m2) << t2)
+            if child not in seen:
+                seen.add(child)
+                nxt.append(child)
+    return nxt
+
+
 def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: int,
                 visited: set[int] | None = None):
     """Level-synchronous search from `sources`, growing each level by the
@@ -398,7 +423,6 @@ def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: in
             frontier.append(code)
     levels: list[list[int]] = []
     distance = 0
-    low, high = moves.low, moves.high
     while frontier:
         levels.append(frontier)
         if match is not None:
@@ -407,14 +431,7 @@ def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: in
                     return levels, visited, code, distance
         if len(visited) > budget:
             raise BudgetExceededError(budget, len(visited), "search")
-        nxt = []
-        for code in frontier:
-            for keep, f1, m1, t1, f2, m2, t2 in moves[(((code & low) + low) | code) & high]:
-                child = (code & keep) | (((code >> f1) & m1) << t1) | (((code >> f2) & m2) << t2)
-                if child not in visited:
-                    visited.add(child)
-                    nxt.append(child)
-        frontier = nxt
+        frontier = _next_level(moves, frontier, visited)
         distance += 1
     return levels, visited, None, None
 
@@ -462,9 +479,11 @@ def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
     return match
 
 
-def _reconstruct(spec: PuzzleSpec, levels: list[list[int]], end: int, distance: int):
+def _reconstruct(spec: PuzzleSpec, levels, end: int, distance: int):
     """Walk an optimal path backwards, preferring at each step the forward
-    move with the smallest (siding, pull-before-push, count) triple."""
+    move with the smallest (siding, pull-before-push, count) triple.
+    `levels[j]` holds codes at distance j from the start, at least every
+    one on a shortest path to `end`."""
     codec = position_codec(spec)
     cur = Position(codec.decode(end))
     moves: list[ShuntMove] = []
@@ -478,7 +497,7 @@ def _reconstruct(spec: PuzzleSpec, levels: list[list[int]], end: int, distance: 
                 cur = pred
                 break
         else:
-            raise AssertionError("breadth-first levels must contain a predecessor")
+            raise InternalCheckError("breadth-first levels must contain a predecessor")
     moves.reverse()
     return moves, cur
 
@@ -519,26 +538,79 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
                   budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exact shortest solution from start to any position matching goal.
 
-    Breadth-first over the whole graph; the goal test runs on each level
-    before it is expanded.  Unreachable goals produce a report, not an
-    exception.
+    Every move has an inverse, so the graph is undirected and a search from
+    both ends that stops where they meet is exact.  While the goal family
+    has more codes than the start side's frontier, only the start side
+    grows and each of its levels is goal-tested, so at most frontier + 1
+    goal codes are ever listed.  Once the family is listed it seeds the
+    goal side, and the side with the smaller frontier grows (the start side
+    on a tie) until a new level meets the other side's labels.  `explored`
+    counts the states either side labelled.  Unreachable goals produce a
+    report, not an exception.
     """
     validate_position(spec, start)
     total = count_positions(spec)
     if total > budget:
         raise BudgetExceededError(budget, total, "optimal search")
-    codec = position_codec(spec)
+    moves = _shunt_moves(spec)
     match = _compile_match(spec, goal)
-    levels, _visited, hit, distance = _bfs_levels(
-        _shunt_moves(spec), [codec.encode(start.tracks)], match=match, budget=budget
-    )
-    explored = sum(len(level) for level in levels)
-    if hit is None:
-        return SearchReport(None, None, explored)
+    family = _iter_matching_codes(spec, goal)
+    goals: list[int] = []
+    first = position_codec(spec).encode(start.tracks)
+    fwd, fseen = [[first]], {first}
+    bwd: list[list[int]] = []
+    bseen: set[int] = set()
+    while True:
+        if not bwd:
+            hit = next((code for code in fwd[-1] if match(code)), None)
+            if hit is not None:
+                return _report(spec, start, fwd, hit, len(fseen))
+            wanted = len(fwd[-1]) + 1 - len(goals)
+            if wanted > 0:
+                goals.extend(itertools.islice(family, wanted))
+                if len(goals) <= len(fwd[-1]):  # the family is exhausted
+                    bwd.append(goals)
+                    bseen.update(goals)
+        if len(fseen) + len(bseen) > budget:
+            raise BudgetExceededError(budget, len(fseen) + len(bseen), "search")
+        if not bwd or len(fwd[-1]) <= len(bwd[-1]):
+            levels, seen, other = fwd, fseen, bseen
+        else:
+            levels, seen, other = bwd, bseen, fseen
+        nxt = _next_level(moves, levels[-1], seen)
+        if not nxt:
+            return SearchReport(None, None, len(fseen) + len(bseen))
+        levels.append(nxt)
+        meet = [code for code in nxt if code in other]
+        if meet:
+            break
+
+    # The meeting codes are the shortest-path codes at distance kf from the
+    # start; paths[j] holds those at distance j, found through the stored
+    # levels of the side that labelled them.
+    kf, d = len(fwd) - 1, len(fwd) + len(bwd) - 2
+    paths: list = [None] * (d + 1)
+    paths[kf] = set(meet)
+    for j in range(kf, 0, -1):
+        paths[j - 1] = set(_next_level(moves, paths[j], set())).intersection(fwd[j - 1])
+    for j in range(kf, d):
+        paths[j + 1] = set(_next_level(moves, paths[j], set())).intersection(bwd[d - j - 1])
+    # A forward search alone hits the end of the shortest path whose move
+    # comes first in table order at every step.
+    hit = first
+    for j in range(1, d + 1):
+        hit = next(code for code in _next_level(moves, [hit], set()) if code in paths[j])
+    return _report(spec, start, paths, hit, len(fseen) + len(bseen) - len(meet))
+
+
+def _report(spec: PuzzleSpec, start: Position, levels, hit: int, explored: int) -> SearchReport:
+    """The report for a goal `hit` in the last of `levels`, which hold every
+    shortest-path predecessor of it, level by level from the start."""
+    distance = len(levels) - 1
     moves, origin = _reconstruct(spec, levels, hit, distance)
     if origin != start:
-        raise AssertionError("the optimal trace must lead back to the start")
-    trace = SolutionTrace(start, Position(codec.decode(hit)), tuple(moves))
+        raise InternalCheckError("the optimal trace must lead back to the start")
+    trace = SolutionTrace(start, Position(position_codec(spec).decode(hit)), tuple(moves))
     return SearchReport(distance, trace, explored)
 
 
@@ -608,7 +680,7 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
         if len(visited) == total:
             break
     if len(visited) != total:
-        raise AssertionError(f"the census visited {len(visited)} of {total} states")
+        raise InternalCheckError(f"the census visited {len(visited)} of {total} states")
     return CensusReport(total, len(sizes), tuple(sorted(sizes, reverse=True)))
 
 
@@ -656,7 +728,7 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
 
     lower_bound_family = spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1)
     if lower_bound_family and diameter < (spec.w * spec.w + 2) // 4:
-        raise AssertionError(f"diameter {diameter} is below the ceil((w*w - 1) / 4) bound")
+        raise InternalCheckError(f"diameter {diameter} is below the ceil((w*w - 1) / 4) bound")
     return diameter
 
 
@@ -675,7 +747,7 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
     reversed_ = CardsState((tuple(range(w, 1, -1)), (1,), ()))
     card_d = cards_distance(cspec, ordered, reversed_, budget=budget)
     if card_d is None:
-        raise AssertionError("the card reversal must be reachable")
+        raise InternalCheckError("the card reversal must be reachable")
 
     from .model import from_cards
 
@@ -683,7 +755,7 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
     goal = from_cards(spec, reversed_)
     report = optimal_solve(spec, start, GoalPattern.exact_position(goal), budget=budget)
     if report.distance != 2 * card_d or report.distance < (w * w) // 2:
-        raise AssertionError(
+        raise InternalCheckError(
             f"reversal takes {report.distance} shunt moves; want twice the card "
             f"distance {card_d} and at least {(w * w) // 2}"
         )

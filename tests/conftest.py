@@ -100,6 +100,27 @@ def naive_distances(spec: PuzzleSpec, start: Position) -> dict[Position, int]:
     return dist
 
 
+def naive_first_match(spec: PuzzleSpec, start: Position, matches):
+    """(position, depth) of the first position `matches` accepts, in
+    breadth-first level order with children in `legal_moves` order; None
+    when no reachable position matches."""
+    seen = {start}
+    level, depth = [start], 0
+    while level:
+        for p in level:
+            if matches(p):
+                return p, depth
+        nxt = []
+        for p in level:
+            for mv in legal_moves(spec, p):
+                q = apply_move(spec, p, mv)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        level, depth = nxt, depth + 1
+    return None
+
+
 def all_positions(spec: PuzzleSpec) -> list[Position]:
     """Exhaustive enumeration by composition and permutation."""
     caps = [spec.h] + list(spec.m)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS line.  Run with `pytest -v -s tests/test_acceptance.py`.
 
-The classic-plan searches each sweep about 2.1 million positions and are
-marked `slow`; the full suite takes a few minutes of CPU.
+The classic-plan sweeps each label about 2.1 million positions and are
+marked `slow`; the full suite takes a few minutes of CPU.  The classic
+optimal searches meet in the middle and stay in the quick loop.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ def test_criterion_2_oracle_equivalence():
     _report(2, "oracle equivalence", f"{cards_checked} card specs, {puzzles_checked} puzzle specs")
 
 
-@pytest.mark.slow
 def test_criterion_3_optimal_distance_fixtures():
     goal_family = _classic_goal_family()
 
@@ -137,7 +137,6 @@ def test_criterion_3_optimal_distance_fixtures():
     _report(3, "optimal distances 17/18/20")
 
 
-@pytest.mark.slow
 def test_criterion_3_note_either_short_siding_family_is_cheaper():
     # Documented measurement: if the three loose wagons may end in either
     # short siding (not just Siding 2), the published 17-move deal admits a
@@ -308,7 +307,6 @@ def test_criterion_7_replay_fixtures(fixtures_dir):
     _report(7, "replay fixtures 17/18/20")
 
 
-@pytest.mark.slow
 def test_cli_optimal_on_twenty_move_fixture(fixtures_dir):
     code, out, _ = _run_cli(
         "optimal", "--spec", str(fixtures_dir / "classic.spec"),

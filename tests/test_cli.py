@@ -116,6 +116,43 @@ def test_optimal_unreachable_exits_one(tmp_path):
     assert "distance = unreachable" in out
 
 
+def test_optimal_unsatisfiable_goal_exits_one(tmp_path):
+    spec = write(tmp_path, "s.spec", SMALL_SPEC)
+    code, out, _ = run_cli(
+        "optimal", "--spec", spec, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[]",
+        "--goal", "S1 = [1,2,3]",
+    )
+    assert code == 1
+    assert "distance = unreachable" in out
+
+
+def test_failed_internal_check_exits_four(tmp_path, monkeypatch):
+    from inglenook import Position, search
+
+    def wrong_origin(spec, levels, end, distance):
+        return [], Position(((), (2, 1), (3, 4), ()))
+
+    monkeypatch.setattr(search, "_reconstruct", wrong_origin)
+    spec = write(tmp_path, "s.spec", SMALL_SPEC)
+    code, out, err = run_cli(
+        "optimal", "--spec", spec, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[]",
+        "--goal", "S1 = [2,1]",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: the optimal trace must lead back to the start\n"
+
+
+def test_decimal_tokens_other_than_one_to_w_get_their_own_labels():
+    # `01`, `2`, `3` are three distinct wagons, not the identity labels
+    code, out, err = run_cli(
+        "solve", "--wagons", "3", "--headshunt", "2", "--sidings", "2 2 1",
+        "--start", "H:[]|S1:[01,2]|S2:[3]|S3:[]", "--goal", "S3 = [2]",
+    )
+    assert code == 0, err
+    assert out.splitlines()[-1].endswith("S3:[2]")
+
+
 def test_worst_small(tmp_path):
     spec = write(tmp_path, "s.spec", "wagons = 3\nheadshunt = 2\nsidings = 2 2\n")
     code, out, _ = run_cli(

@@ -67,6 +67,7 @@ from conftest import (
     naive_card_distances,
     naive_cards_components,
     naive_distances,
+    naive_first_match,
     positions,
     puzzle_specs,
     specs_with_positions,
@@ -278,6 +279,68 @@ def test_matching_codes_are_the_matching_positions(case):
     codes = matching_codes(spec, pattern, "it")
     assert len(codes) == len(set(codes))
     assert set(codes) == want
+
+
+def _first_forward_moves_back(spec, dist, goal):
+    """The trace rebuilt from oracle distances alone: walk back from the
+    goal, taking the first forward move in (siding, pull before push, count)
+    order whose predecessor is one step nearer the start."""
+    want, cur = [], goal
+    while dist[cur]:
+        back = []
+        for mv in legal_moves(spec, cur):
+            fwd, pred = mv.inverse(), apply_move(spec, cur, mv)
+            if dist[pred] == dist[cur] - 1:
+                back.append(((fwd.siding, fwd.direction != PULL, fwd.count), fwd, pred))
+        _key, fwd, cur = min(back, key=lambda b: b[0])
+        want.append(fwd)
+    return want[::-1]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_optimal_goal_family_keeps_the_forward_hit(data):
+    # the two-sided search must finish where a forward search in move order
+    # first meets the goal family, and print the same trace
+    spec, pattern = data.draw(_specs_with_patterns())
+    start = data.draw(positions(spec))
+    report = optimal_solve(spec, start, pattern)
+    assert report.explored <= count_positions(spec)
+    first = naive_first_match(spec, start, lambda p: pattern.matches(spec, p))
+    if first is None:
+        assert report.distance is None and report.trace is None
+        return
+    finish, depth = first
+    assert report.distance == depth
+    assert report.trace.finish == finish
+    dist = naive_distances(spec, start)
+    assert list(report.trace.moves) == _first_forward_moves_back(spec, dist, finish)
+
+
+@given(specs_with_positions(max_w=5, max_h=3, max_s=3, max_cap=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_optimal_explores_at_most_every_position(case, data):
+    spec, start = case
+    goal = data.draw(positions(spec))
+    report = optimal_solve(spec, start, GoalPattern.exact_position(goal))
+    assert report.explored <= count_positions(spec)
+
+
+def test_optimal_lists_the_goal_family_lazily():
+    # `H = []` matches over a million classic positions, but the start side
+    # meets it at its first level, so the search labels only that level
+    spec = PuzzleSpec(8, 3, (3, 3, 5))
+    start = parse_position(spec, "H:[1,2,3]|S1:[4,5,6]|S2:[7,8]|S3:[]")
+    report = optimal_solve(spec, start, parse_pattern(spec, "H = []"))
+    assert report.distance == 1
+    assert report.explored == 5
+
+
+def test_optimal_unsatisfiable_goal_is_a_report_not_an_error():
+    start = Position(((), (1, 2), (3, 4), ()))
+    report = optimal_solve(SMALL, start, parse_pattern(SMALL, "S1 = [1,2,3]"))
+    assert report.distance is None
+    assert report.trace is None
 
 
 def test_compiled_goal_with_labels_past_the_slot_high_bit():
