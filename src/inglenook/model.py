@@ -194,11 +194,9 @@ def validate_state(spec: CardsSpec, st: CardsState) -> None:
             raise InvalidStateError(
                 f"pile {i} holds {len(pile)} cards, capacity is {spec.m[i]}"
             )
-    cards = [c for pile in st.piles for c in pile]
-    if len(set(cards)) != len(cards):
-        raise InvalidStateError("cards must be distinct")
-    if len(cards) != spec.w:
-        raise InvalidStateError(f"state holds {len(cards)} cards, spec has {spec.w}")
+    cards = sorted(c for pile in st.piles for c in pile)
+    if cards != list(range(1, spec.w + 1)):
+        raise InvalidStateError(f"piles must hold cards 1..{spec.w} exactly once, got {cards}")
 
 
 def legal_moves(spec: PuzzleSpec, p: Position) -> list[ShuntMove]:

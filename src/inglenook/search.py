@@ -1,7 +1,7 @@
 """Exhaustive and optimal analysis: shortest solutions, worst-case move
 counts, component censuses, and exact diameters at desk scale.
 
-Every search runs on one breadth-first kernel, `_bfs_levels`, over
+Every search grows its levels with one kernel, `_next_level`, over
 integer-packed codes (see model.SlotCodec).  Both move rules, a block of
 wagons between the headshunt and one siding and one card between two piles,
 are one kind of move table, `_MoveTable`: keyed by a code's occupancy mask,
@@ -15,11 +15,13 @@ by `_compile_match`, into a masked compare per alternative plus one set test
 per any-order track.  One enumerator, `_alternative_codes`, lists the codes
 an alternative allows straight from the codec's slot shifts; it serves the
 pattern matches of `gen`, `solve` and `worst`, and, with every pile `ANY`,
-the card states of the census and the diameter.  `optimal_solve` grows the
-start and goal sides with the same level step and stops where they meet;
-it rebuilds the shortest-path layers from both sides' levels and takes,
-from the start, the first move in table order into the next layer, which
-is the trace a forward search alone would print.
+the card states of the census and the diameter.  Full sweeps (`worst`, the
+census, the diameter) run `_bfs_levels`; one shortest-path search,
+`_shortest_layers`, grows a start and a goal side until they meet and
+serves `optimal_solve` and `cards_distance`.  The optimal trace steps from
+the start by the first move in table order into the next shortest-path
+layer, to the finish a forward search alone would hit, and then walks back
+by the first forward move in (siding, pull before push, count) order.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .model import (
     CardsSpec,
     CardsState,
     FormatError,
+    IllegalMoveError,
     InglenookError,
     InternalCheckError,
     LabelTable,
@@ -43,10 +46,11 @@ from .model import (
     PuzzleSpec,
     ShuntMove,
     _compositions,
-    apply_move,
     count_positions,
     count_states,
+    from_cards,
     position_codec,
+    replay,
     state_codec,
     validate_position,
     validate_state,
@@ -374,10 +378,13 @@ class _MoveTable(dict):
         return moves
 
 
-def _shunt_moves(spec: PuzzleSpec) -> _MoveTable:
+def _shunt_moves(spec: PuzzleSpec, *, pushes_first: bool = False) -> _MoveTable:
     """Blocks of any size between the headshunt, open at its back, and a
-    siding, open at its front: siding ascending, pulls before pushes."""
-    pairs = [pair for r in range(1, spec.s + 1) for pair in ((r, 0), (0, r))]
+    siding, open at its front: siding ascending, pulls before pushes, or
+    pushes first, which lists a position's predecessors in the order of the
+    forward moves into it, since a push of k undoes a pull of k."""
+    pairs = [pair for r in range(1, spec.s + 1)
+             for pair in (((0, r), (r, 0)) if pushes_first else ((r, 0), (0, r)))]
     return _MoveTable(position_codec(spec), (False,) + (True,) * spec.s, pairs, spec.w)
 
 
@@ -403,14 +410,20 @@ def _next_level(moves: _MoveTable, frontier, seen: set[int]) -> list[int]:
     return nxt
 
 
-def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: int,
-                visited: set[int] | None = None):
-    """Level-synchronous search from `sources`, growing each level by the
-    move table `moves`, so each level lists its codes in move order.
+def _first_child(moves: _MoveTable, code: int, layer: set[int]) -> int:
+    """The first child of `code`, in table order, that lies in `layer`."""
+    for child in _next_level(moves, [code], set()):
+        if child in layer:
+            return child
+    raise InternalCheckError("shortest-path layers must link every step")
 
-    Returns (levels, visited, hit, distance) where hit is the first
-    matching code in deterministic order, or None when match never fires
-    (or is None).  With match set, the hit level is the last level kept.
+
+def _bfs_levels(moves: _MoveTable, sources: list[int], *, budget: int,
+                visited: set[int] | None = None):
+    """Level-synchronous search from `sources` until nothing new is reached,
+    growing each level by the move table `moves`, so each level lists its
+    codes in move order.  Returns (levels, visited).
+
     A `visited` set passed in is shared: codes already in it are neither
     sources nor children, and the codes found are added to it.
     """
@@ -422,18 +435,71 @@ def _bfs_levels(moves: _MoveTable, sources: list[int], *, match=None, budget: in
             visited.add(code)
             frontier.append(code)
     levels: list[list[int]] = []
-    distance = 0
     while frontier:
         levels.append(frontier)
-        if match is not None:
-            for code in frontier:
-                if match(code):
-                    return levels, visited, code, distance
         if len(visited) > budget:
             raise BudgetExceededError(budget, len(visited), "search")
         frontier = _next_level(moves, frontier, visited)
-        distance += 1
-    return levels, visited, None, None
+    return levels, visited
+
+
+def _shortest_layers(moves: _MoveTable, first: int, match, family, budget: int):
+    """(layers, explored): `layers[j]` holds the codes at distance j from
+    `first` on a shortest path to a code that `match` accepts, and layers
+    is None when no such code is reachable.
+
+    Every move has an inverse, so the graph is undirected and a search from
+    both ends that stops where they meet is exact.  While the goal `family`,
+    an iterator over the matching codes, has more codes than the start
+    side's frontier, only the start side grows, and a level with matches is
+    a meeting whose matches are the goal side's only level; so at most
+    frontier + 1 goal codes are ever listed.  A listed family seeds the goal
+    side, and the side with the smaller frontier grows (the start side on a
+    tie) until a new level meets the other side's labels.  `explored` counts
+    the states either side labelled.
+    """
+    goals: list[int] = []
+    fwd, fseen = [[first]], {first}
+    bwd: list[list[int]] = []
+    bseen: set[int] = set()
+    while True:
+        if not bwd:
+            meet = [code for code in fwd[-1] if match(code)]
+            if meet:
+                bwd.append(meet)
+                bseen.update(meet)
+                break
+            wanted = len(fwd[-1]) + 1 - len(goals)
+            if wanted > 0:
+                goals.extend(itertools.islice(family, wanted))
+                if len(goals) <= len(fwd[-1]):  # the family is exhausted
+                    bwd.append(goals)
+                    bseen.update(goals)
+        if len(fseen) + len(bseen) > budget:
+            raise BudgetExceededError(budget, len(fseen) + len(bseen), "search")
+        if not bwd or len(fwd[-1]) <= len(bwd[-1]):
+            levels, seen, other = fwd, fseen, bseen
+        else:
+            levels, seen, other = bwd, bseen, fseen
+        nxt = _next_level(moves, levels[-1], seen)
+        if not nxt:
+            return None, len(fseen) + len(bseen)
+        levels.append(nxt)
+        meet = [code for code in nxt if code in other]
+        if meet:
+            break
+
+    # The meeting codes are the shortest-path codes at distance kf from the
+    # start; layers[j] holds those at distance j, found through the stored
+    # levels of the side that labelled them.
+    kf, d = len(fwd) - 1, len(fwd) + len(bwd) - 2
+    layers: list = [None] * (d + 1)
+    layers[kf] = set(meet)
+    for j in range(kf, 0, -1):
+        layers[j - 1] = set(_next_level(moves, layers[j], set())).intersection(fwd[j - 1])
+    for j in range(kf, d):
+        layers[j + 1] = set(_next_level(moves, layers[j], set())).intersection(bwd[d - j - 1])
+    return layers, len(fseen) + len(bseen) - len(meet)
 
 
 def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
@@ -483,35 +549,21 @@ def _reconstruct(spec: PuzzleSpec, levels, end: int, distance: int):
     """Walk an optimal path backwards, preferring at each step the forward
     move with the smallest (siding, pull-before-push, count) triple.
     `levels[j]` holds codes at distance j from the start, at least every
-    one on a shortest path to `end`."""
+    one on a shortest path to `end`.  Each move is read off the siding and
+    the headshunt whose lengths change between two neighbours."""
     codec = position_codec(spec)
-    cur = Position(codec.decode(end))
+    back = _shunt_moves(spec, pushes_first=True)
+    code, cur = end, codec.decode(end)
     moves: list[ShuntMove] = []
     for depth in range(distance, 0, -1):
-        candidates = [(fwd, pred, codec.encode(pred.tracks))
-                      for fwd, pred in _forward_candidates(spec, cur)]
-        found = {code for _fwd, _pred, code in candidates}.intersection(levels[depth - 1])
-        for fwd, pred, code in candidates:
-            if code in found:
-                moves.append(fwd)
-                cur = pred
-                break
-        else:
-            raise InternalCheckError("breadth-first levels must contain a predecessor")
+        code = _first_child(back, code, levels[depth - 1])
+        pred = codec.decode(code)
+        siding = next(r for r in range(1, spec.s + 1) if len(pred[r]) != len(cur[r]))
+        gain = len(cur[0]) - len(pred[0])
+        moves.append(ShuntMove(siding, PULL if gain > 0 else PUSH, abs(gain)))
+        cur = pred
     moves.reverse()
-    return moves, cur
-
-
-def _forward_candidates(spec: PuzzleSpec, cur: Position):
-    """(forward move, predecessor) pairs in the trace tie-break order."""
-    head = len(cur.headshunt)
-    for r in range(1, spec.s + 1):
-        held = len(cur.tracks[r])
-        # a forward pull of k into cur is undone by pushing k back
-        for k in range(1, min(head, spec.m[r - 1] - held) + 1):
-            yield ShuntMove(r, PULL, k), apply_move(spec, cur, ShuntMove(r, PUSH, k))
-        for k in range(1, min(held, spec.h - head) + 1):
-            yield ShuntMove(r, PUSH, k), apply_move(spec, cur, ShuntMove(r, PULL, k))
+    return moves, Position(cur)
 
 
 @dataclass
@@ -536,82 +588,38 @@ class WorstCaseReport:
 
 def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
                   budget: int = DEFAULT_BUDGET) -> SearchReport:
-    """Exact shortest solution from start to any position matching goal.
-
-    Every move has an inverse, so the graph is undirected and a search from
-    both ends that stops where they meet is exact.  While the goal family
-    has more codes than the start side's frontier, only the start side
-    grows and each of its levels is goal-tested, so at most frontier + 1
-    goal codes are ever listed.  Once the family is listed it seeds the
-    goal side, and the side with the smaller frontier grows (the start side
-    on a tie) until a new level meets the other side's labels.  `explored`
-    counts the states either side labelled.  Unreachable goals produce a
-    report, not an exception.
-    """
+    """Exact shortest solution from start to any position matching goal, by
+    `_shortest_layers`; an unreachable goal gives a report, not an error."""
     validate_position(spec, start)
     total = count_positions(spec)
     if total > budget:
         raise BudgetExceededError(budget, total, "optimal search")
+    codec = position_codec(spec)
     moves = _shunt_moves(spec)
-    match = _compile_match(spec, goal)
-    family = _iter_matching_codes(spec, goal)
-    goals: list[int] = []
-    first = position_codec(spec).encode(start.tracks)
-    fwd, fseen = [[first]], {first}
-    bwd: list[list[int]] = []
-    bseen: set[int] = set()
-    while True:
-        if not bwd:
-            hit = next((code for code in fwd[-1] if match(code)), None)
-            if hit is not None:
-                return _report(spec, start, fwd, hit, len(fseen))
-            wanted = len(fwd[-1]) + 1 - len(goals)
-            if wanted > 0:
-                goals.extend(itertools.islice(family, wanted))
-                if len(goals) <= len(fwd[-1]):  # the family is exhausted
-                    bwd.append(goals)
-                    bseen.update(goals)
-        if len(fseen) + len(bseen) > budget:
-            raise BudgetExceededError(budget, len(fseen) + len(bseen), "search")
-        if not bwd or len(fwd[-1]) <= len(bwd[-1]):
-            levels, seen, other = fwd, fseen, bseen
-        else:
-            levels, seen, other = bwd, bseen, fseen
-        nxt = _next_level(moves, levels[-1], seen)
-        if not nxt:
-            return SearchReport(None, None, len(fseen) + len(bseen))
-        levels.append(nxt)
-        meet = [code for code in nxt if code in other]
-        if meet:
-            break
-
-    # The meeting codes are the shortest-path codes at distance kf from the
-    # start; paths[j] holds those at distance j, found through the stored
-    # levels of the side that labelled them.
-    kf, d = len(fwd) - 1, len(fwd) + len(bwd) - 2
-    paths: list = [None] * (d + 1)
-    paths[kf] = set(meet)
-    for j in range(kf, 0, -1):
-        paths[j - 1] = set(_next_level(moves, paths[j], set())).intersection(fwd[j - 1])
-    for j in range(kf, d):
-        paths[j + 1] = set(_next_level(moves, paths[j], set())).intersection(bwd[d - j - 1])
+    first = codec.encode(start.tracks)
+    layers, explored = _shortest_layers(
+        moves, first, _compile_match(spec, goal), _iter_matching_codes(spec, goal), budget
+    )
+    if layers is None:
+        return SearchReport(None, None, explored)
     # A forward search alone hits the end of the shortest path whose move
     # comes first in table order at every step.
     hit = first
-    for j in range(1, d + 1):
-        hit = next(code for code in _next_level(moves, [hit], set()) if code in paths[j])
-    return _report(spec, start, paths, hit, len(fseen) + len(bseen) - len(meet))
-
-
-def _report(spec: PuzzleSpec, start: Position, levels, hit: int, explored: int) -> SearchReport:
-    """The report for a goal `hit` in the last of `levels`, which hold every
-    shortest-path predecessor of it, level by level from the start."""
-    distance = len(levels) - 1
-    moves, origin = _reconstruct(spec, levels, hit, distance)
+    for layer in layers[1:]:
+        hit = _first_child(moves, hit, layer)
+    distance = len(layers) - 1
+    trace_moves, origin = _reconstruct(spec, layers, hit, distance)
     if origin != start:
         raise InternalCheckError("the optimal trace must lead back to the start")
-    trace = SolutionTrace(start, Position(position_codec(spec).decode(hit)), tuple(moves))
-    return SearchReport(distance, trace, explored)
+    finish = Position(codec.decode(hit))
+    # the moves are read off code pairs, so replay them by the move rule
+    try:
+        replayed = replay(spec, start, trace_moves)[-1]
+    except IllegalMoveError as exc:
+        raise InternalCheckError(f"the optimal trace must replay: {exc}") from None
+    if replayed != finish:
+        raise InternalCheckError("the optimal trace must replay to its finish")
+    return SearchReport(distance, SolutionTrace(start, finish, tuple(trace_moves)), explored)
 
 
 def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern, *,
@@ -628,7 +636,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         raise BudgetExceededError(budget, total, "worst-case sweep")
     codec = position_codec(spec)
     sources = matching_codes(spec, goal, "the goal pattern")
-    levels, visited, _hit, _d = _bfs_levels(_shunt_moves(spec), sources, budget=budget)
+    levels, visited = _bfs_levels(_shunt_moves(spec), sources, budget=budget)
     explored = sum(len(level) for level in levels)
 
     if explored < total:
@@ -675,7 +683,7 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
     for seed in _card_state_codes(spec):
         if seed in visited:
             continue
-        levels, _visited, _hit, _d = _bfs_levels(moves, [seed], budget=budget, visited=visited)
+        levels, _visited = _bfs_levels(moves, [seed], budget=budget, visited=visited)
         sizes.append(sum(len(level) for level in levels))
         if len(visited) == total:
             break
@@ -694,11 +702,10 @@ def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
         raise BudgetExceededError(budget, total, "card distance search")
     codec = state_codec(spec)
     dst = codec.encode(goal.piles)
-    _levels, _visited, _hit, distance = _bfs_levels(
-        _card_moves(spec), [codec.encode(start.piles)],
-        match=lambda code: code == dst, budget=budget,
+    layers, _explored = _shortest_layers(
+        _card_moves(spec), codec.encode(start.piles), lambda code: code == dst, iter([dst]), budget
     )
-    return distance
+    return None if layers is None else len(layers) - 1
 
 
 def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -721,7 +728,7 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     diameter = 0
     # the first `shapes` codes deal cards 1..w in order over each composition
     for source in itertools.islice(_card_state_codes(spec), shapes):
-        levels, visited, _hit, _d = _bfs_levels(moves, [source], budget=budget)
+        levels, visited = _bfs_levels(moves, [source], budget=budget)
         if len(visited) != total:
             raise DisconnectedGraphError(cards_component_census(spec, budget=budget))
         diameter = max(diameter, len(levels) - 1)
@@ -748,9 +755,6 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
     card_d = cards_distance(cspec, ordered, reversed_, budget=budget)
     if card_d is None:
         raise InternalCheckError("the card reversal must be reachable")
-
-    from .model import from_cards
-
     start = from_cards(spec, ordered)
     goal = from_cards(spec, reversed_)
     report = optimal_solve(spec, start, GoalPattern.exact_position(goal), budget=budget)

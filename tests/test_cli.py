@@ -143,6 +143,41 @@ def test_failed_internal_check_exits_four(tmp_path, monkeypatch):
     assert err == "error: the optimal trace must lead back to the start\n"
 
 
+@pytest.mark.parametrize("wrong", ["truncated", "illegal"])
+def test_trace_that_does_not_replay_exits_four(tmp_path, monkeypatch, wrong):
+    from inglenook import PUSH, ShuntMove, search
+
+    reconstruct = search._reconstruct
+
+    def wrong_moves(spec, levels, end, distance):
+        moves, origin = reconstruct(spec, levels, end, distance)
+        if wrong == "truncated":
+            return moves[:-1], origin
+        return [ShuntMove(1, PUSH, 1)] + moves, origin  # the headshunt starts empty
+
+    monkeypatch.setattr(search, "_reconstruct", wrong_moves)
+    spec = write(tmp_path, "s.spec", SMALL_SPEC)
+    code, out, err = run_cli(
+        "optimal", "--spec", spec, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[]",
+        "--goal", "S1 = [2,1]",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: the optimal trace must replay")
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_optimal_prints_the_published_traces(fixtures_dir, n):
+    code, out, err = run_cli(
+        "optimal", "--spec", str(fixtures_dir / "classic.spec"),
+        "--start", str(fixtures_dir / f"solution{n}.start"),
+        "--goal", str(fixtures_dir / f"solution{n}.finish"),
+    )
+    assert code == 0, err
+    printed = [line for line in out.splitlines() if line.startswith(("PULL", "PUSH"))]
+    assert printed == (fixtures_dir / f"solution{n}.moves").read_text().splitlines()
+
+
 def test_decimal_tokens_other_than_one_to_w_get_their_own_labels():
     # `01`, `2`, `3` are three distinct wagons, not the identity labels
     code, out, err = run_cli(

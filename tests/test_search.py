@@ -19,6 +19,7 @@ from inglenook import (
     PULL,
     CardsSpec,
     CardsState,
+    InvalidStateError,
     Position,
     PuzzleSpec,
     UnsatisfiablePatternError,
@@ -38,6 +39,7 @@ from inglenook import (
     parse_position,
     replay,
     reversal_distance,
+    solve_cards,
     solve_inglenook,
     worst_case_moves,
 )
@@ -51,9 +53,9 @@ from inglenook.search import (
     DisconnectedGraphError,
     GoalPattern,
     TrackRule,
-    _bfs_levels,
     _card_moves,
     _compile_match,
+    _next_level,
     _shunt_moves,
     pattern_conflicts,
 )
@@ -317,6 +319,21 @@ def test_optimal_goal_family_keeps_the_forward_hit(data):
     assert list(report.trace.moves) == _first_forward_moves_back(spec, dist, finish)
 
 
+@pytest.mark.parametrize("spec,start,finish,distance", [
+    (PuzzleSpec(4, 4, (3, 3, 1)),
+     "H:[2]|S1:[1]|S2:[4]|S3:[3]", "H:[3]|S1:[4]|S2:[2]|S3:[1]", 7),
+    (PuzzleSpec(5, 3, (3, 4)), "H:[3,5]|S1:[2,1]|S2:[4]", "H:[4,5]|S1:[2,3]|S2:[1]", 12),
+])
+def test_optimal_trace_breaks_ties_within_a_siding(spec, start, finish, distance):
+    # with a headshunt longer than two, a code has several forward moves
+    # into it on one siding; the trace prefers a pull, then the smaller block
+    start, finish = parse_position(spec, start), parse_position(spec, finish)
+    report = optimal_solve(spec, start, GoalPattern.exact_position(finish))
+    assert report.distance == distance
+    want = _first_forward_moves_back(spec, naive_distances(spec, start), finish)
+    assert list(report.trace.moves) == want
+
+
 @given(specs_with_positions(max_w=5, max_h=3, max_s=3, max_cap=3), st.data())
 @settings(max_examples=80, deadline=None)
 def test_optimal_explores_at_most_every_position(case, data):
@@ -521,6 +538,19 @@ def test_cards_distance_small():
     assert cards_distance(spec, a, a) == 0
 
 
+def test_card_labels_outside_one_to_w_are_refused():
+    # the slot codec reads 0 as an empty slot and holds labels up to 255
+    spec = CardsSpec(3, (2, 2, 1))
+    for label in (0, 300):
+        start = CardsState(((1, label), (2,), ()))
+        goal = CardsState(((label, 1), (2,), ()))
+        with pytest.raises(InvalidStateError, match=r"cards 1\.\.3 exactly once"):
+            cards_distance(spec, start, goal)
+        with pytest.raises(InvalidStateError, match=r"cards 1\.\.3 exactly once"):
+            solve_cards(spec, start, goal)
+    assert cards_distance(spec, CardsState(((1, 3), (2,), ())), CardsState(((3, 1), (2,), ()))) == 4
+
+
 @st.composite
 def _cards_specs_with_state_pairs(draw):
     spec = draw(cards_specs(max_w=4))
@@ -587,20 +617,20 @@ def test_reversal_ordering_displacement_matches_closed_form():
 
 # --- move table -------------------------------------------------------------
 
-def _kernel_children(moves, code: int) -> list[int]:
-    """The children of code, in order, as the kernel's first level: every
-    child differs from code, so the match stops the search right there."""
-    levels = _bfs_levels(moves, [code], match=lambda c: c != code, budget=10 ** 6)[0]
-    return levels[1] if len(levels) > 1 else []
-
-
 @given(specs_with_positions())
 @settings(max_examples=200, deadline=None)
 def test_shunt_table_matches_reference_rule_in_order(case):
     spec, p = case
     codec = position_codec(spec)
     want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
-    assert _kernel_children(_shunt_moves(spec), codec.encode(p.tracks)) == want
+    code = codec.encode(p.tracks)
+    assert _next_level(_shunt_moves(spec), [code], {code}) == want
+    # pushes first lists p's predecessors by the forward move into p, the
+    # inverse of a legal move at p, in (siding, pull before push, count) order
+    inverse_forward = sorted(legal_moves(spec, p),
+                             key=lambda mv: (mv.siding, mv.direction == PULL, mv.count))
+    want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in inverse_forward]
+    assert _next_level(_shunt_moves(spec, pushes_first=True), [code], {code}) == want
 
 
 @given(_cards_specs_with_state_pairs())
@@ -609,7 +639,8 @@ def test_card_table_matches_reference_rule_in_order(case):
     spec, state, _other = case
     codec = state_codec(spec)
     want = [codec.encode(t.piles) for t in card_neighbors(spec, state)]
-    assert _kernel_children(_card_moves(spec), codec.encode(state.piles)) == want
+    code = codec.encode(state.piles)
+    assert _next_level(_card_moves(spec), [code], {code}) == want
 
 
 def test_occupancy_mask_with_labels_past_the_slot_high_bit():
@@ -624,7 +655,7 @@ def test_occupancy_mask_with_labels_past_the_slot_high_bit():
         occupancy = (((code & moves.low) + moves.low) | code) & moves.high
         assert occupancy == codec.encode(tuple((128,) * len(t) for t in p.tracks))
         want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
-        assert _kernel_children(moves, code) == want
+        assert _next_level(moves, [code], {code}) == want
 
 
 def test_search_checks_are_not_asserts():
