@@ -21,15 +21,12 @@ from .model import (
     PuzzleSpec,
     ShuntMove,
     apply_move,
-    canonical_encoding,
     cards_spec,
     count_positions,
     count_states,
-    decode_position,
     format_position,
     from_cards,
     is_convertible,
-    legal_moves,
     parse_position,
     parse_spec_text,
     replay,

@@ -207,6 +207,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    """Type of --budget; argparse names this function when it refuses a
+    value, negative or not an integer, as an input error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 _FLAGS = {
     "spec": dict(help="spec file or inline text"),
     "wagons": dict(type=int, help="wagon count (inline spec)"),
@@ -218,7 +227,7 @@ _FLAGS = {
     "seed": dict(type=int, default=0, help="generator seed"),
     "cards": dict(type=int, help="card count"),
     "piles": dict(help="pile capacities, space separated"),
-    "budget": dict(type=int, default=search.DEFAULT_BUDGET,
+    "budget": dict(type=non_negative_int, default=search.DEFAULT_BUDGET,
                    help="state budget for exhaustive work"),
 }
 

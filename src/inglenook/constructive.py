@@ -350,17 +350,16 @@ def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrac
     """Solve to the first position matching `pattern`.
 
     A start that already matches yields the empty trace; otherwise the
-    target is the matching position with the smallest canonical encoding,
-    which is the smallest code: the encoding is the code, big-endian at a
-    fixed width.
+    target is the matching position with the smallest code.
     """
-    from .search import matching_codes
+    from .search import _compile_match, matching_codes
 
     validate_position(spec, start)
-    if pattern.matches(spec, start):
+    codec = position_codec(spec)
+    if _compile_match(spec, pattern)(codec.encode(start.tracks)):
         return SolutionTrace(start, start, ())
     best = min(matching_codes(spec, pattern, "the goal pattern"))
-    return solve_inglenook(spec, start, Position(position_codec(spec).decode(best)))
+    return solve_inglenook(spec, start, Position(codec.decode(best)))
 
 
 # --- trace text format ----------------------------------------------------

@@ -1,5 +1,5 @@
 """Core domain model: track layouts, positions, shunt moves, the card-pile
-reduction, canonical encodings, and the text formats shared by every tool."""
+reduction, packed integer codes, and the text formats shared by every tool."""
 
 from __future__ import annotations
 
@@ -199,21 +199,6 @@ def validate_state(spec: CardsSpec, st: CardsState) -> None:
         raise InvalidStateError(f"piles must hold cards 1..{spec.w} exactly once, got {cards}")
 
 
-def legal_moves(spec: PuzzleSpec, p: Position) -> list[ShuntMove]:
-    """All moves applicable at p, ordered by (siding, pull before push, count)."""
-    validate_position(spec, p)
-    moves = []
-    free_head = spec.h - len(p.headshunt)
-    for r in range(1, spec.s + 1):
-        held = len(p.tracks[r])
-        for k in range(1, min(held, free_head) + 1):
-            moves.append(ShuntMove(r, PULL, k))
-        free_siding = spec.m[r - 1] - held
-        for k in range(1, min(len(p.headshunt), free_siding) + 1):
-            moves.append(ShuntMove(r, PUSH, k))
-    return moves
-
-
 def apply_move(spec: PuzzleSpec, p: Position, mv: ShuntMove) -> Position:
     """Apply mv to p; the transferred block keeps its order across the points."""
     validate_position(spec, p)
@@ -311,11 +296,10 @@ class SlotCodec:
 
     Each unit of capacity is one slot; a track's occupants fill its leading
     slots and the rest are zero.  Tracks are laid out first track most
-    significant, so the byte rendering is the canonical encoding.
+    significant, so codes compare as their slot sequences do.
     """
 
-    __slots__ = ("caps", "bits", "slot_mask", "total_slots", "byte_width",
-                 "low_shift", "seg_mask")
+    __slots__ = ("caps", "bits", "slot_mask", "total_slots", "low_shift", "seg_mask")
 
     def __init__(self, caps: tuple[int, ...], w: int):
         self.caps = caps
@@ -324,7 +308,6 @@ class SlotCodec:
         if w > self.slot_mask:
             raise InvalidSpecError(f"cannot encode {w} wagons")
         self.total_slots = sum(caps)
-        self.byte_width = self.total_slots * self.bits // 8
         low_shift = []
         remaining = self.total_slots
         for cap in caps:
@@ -358,16 +341,6 @@ class SlotCodec:
             tracks.append(tuple(track))
         return tuple(tracks)
 
-    def to_bytes(self, code: int) -> bytes:
-        return code.to_bytes(self.byte_width, "big")
-
-    def from_bytes(self, data: bytes) -> int:
-        if len(data) != self.byte_width:
-            raise InvalidPositionError(
-                f"encoding must be {self.byte_width} bytes, got {len(data)}"
-            )
-        return int.from_bytes(data, "big")
-
 
 @functools.lru_cache(maxsize=256)
 def position_codec(spec: PuzzleSpec) -> SlotCodec:
@@ -377,20 +350,6 @@ def position_codec(spec: PuzzleSpec) -> SlotCodec:
 @functools.lru_cache(maxsize=256)
 def state_codec(spec: CardsSpec) -> SlotCodec:
     return SlotCodec(spec.m, spec.w)
-
-
-def canonical_encoding(spec: PuzzleSpec, p: Position) -> bytes:
-    """Fixed-width injective byte encoding of p, usable as a search key."""
-    validate_position(spec, p)
-    codec = position_codec(spec)
-    return codec.to_bytes(codec.encode(p.tracks))
-
-
-def decode_position(spec: PuzzleSpec, data: bytes) -> Position:
-    codec = position_codec(spec)
-    p = Position(codec.decode(codec.from_bytes(data)))
-    validate_position(spec, p)
-    return p
 
 
 def count_positions(spec: PuzzleSpec) -> int:

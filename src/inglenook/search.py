@@ -22,6 +22,10 @@ serves `optimal_solve` and `cards_distance`.  The optimal trace steps from
 the start by the first move in table order into the next shortest-path
 layer, to the finish a forward search alone would hit, and then walks back
 by the first forward move in (siding, pull before push, count) order.
+Budgets are checked once, up front: each public search refuses before it
+starts when the states it could label, every position or card state (times
+the compositions, for the diameter), pass the budget, so the kernels take
+no budget.
 """
 
 from __future__ import annotations
@@ -128,27 +132,6 @@ class GoalPattern:
     def all_positions(cls, spec: PuzzleSpec) -> GoalPattern:
         return cls(((TrackRule(ANY),) * (spec.s + 1),))
 
-    def matches(self, spec: PuzzleSpec, p: Position) -> bool:
-        validate_position(spec, p)
-        for alt in self.alternatives:
-            if len(alt) != spec.s + 1:
-                raise FormatError(
-                    f"alternative has {len(alt)} tracks, spec has {spec.s + 1}"
-                )
-            if all(_rule_matches(rule, track) for rule, track in zip(alt, p.tracks)):
-                return True
-        return False
-
-
-def _rule_matches(rule: TrackRule, track: tuple[int, ...]) -> bool:
-    if rule.kind == ANY:
-        return True
-    if rule.kind == EMPTY:
-        return not track
-    if rule.kind == EXACT:
-        return track == rule.wagons
-    return len(track) == len(rule.wagons) and set(track) == set(rule.wagons)
-
 
 def parse_pattern(spec: PuzzleSpec, text: str, labels: LabelTable | None = None) -> GoalPattern:
     """Parse the pattern file format: one alternative per line, clauses
@@ -191,20 +174,17 @@ def _parse_rule(op: str, rhs: str, labels: LabelTable, lineno: int) -> TrackRule
             return TrackRule(ANY)
         if not (rhs.startswith("[") and rhs.endswith("]")):
             raise FormatError(f"'=' needs [..] or *, got {rhs!r}", lineno)
-        inner = rhs[1:-1].strip()
-        if not inner:
-            return TrackRule(EMPTY)
-        wagons = tuple(labels.label(tok.strip()) for tok in inner.split(","))
-        return TrackRule(EXACT, wagons)
-    if not (rhs.startswith("{") and rhs.endswith("}")):
+    elif not (rhs.startswith("{") and rhs.endswith("}")):
         raise FormatError(f"'~' needs {{..}}, got {rhs!r}", lineno)
     inner = rhs[1:-1].strip()
     if not inner:
-        raise FormatError("'~' set must not be empty", lineno)
+        if op == "~":
+            raise FormatError("'~' set must not be empty", lineno)
+        return TrackRule(EMPTY)
     wagons = tuple(labels.label(tok.strip()) for tok in inner.split(","))
     if len(set(wagons)) != len(wagons):
-        raise FormatError("'~' set has repeated wagons", lineno)
-    return TrackRule(SET_ANY_ORDER, wagons)
+        raise FormatError(f"{rhs} repeats a wagon", lineno)
+    return TrackRule(EXACT if op == "=" else SET_ANY_ORDER, wagons)
 
 
 def pattern_conflicts(spec: PuzzleSpec, pattern: GoalPattern) -> tuple[str, ...]:
@@ -418,8 +398,7 @@ def _first_child(moves: _MoveTable, code: int, layer: set[int]) -> int:
     raise InternalCheckError("shortest-path layers must link every step")
 
 
-def _bfs_levels(moves: _MoveTable, sources: list[int], *, budget: int,
-                visited: set[int] | None = None):
+def _bfs_levels(moves: _MoveTable, sources: list[int], *, visited: set[int] | None = None):
     """Level-synchronous search from `sources` until nothing new is reached,
     growing each level by the move table `moves`, so each level lists its
     codes in move order.  Returns (levels, visited).
@@ -437,13 +416,11 @@ def _bfs_levels(moves: _MoveTable, sources: list[int], *, budget: int,
     levels: list[list[int]] = []
     while frontier:
         levels.append(frontier)
-        if len(visited) > budget:
-            raise BudgetExceededError(budget, len(visited), "search")
         frontier = _next_level(moves, frontier, visited)
     return levels, visited
 
 
-def _shortest_layers(moves: _MoveTable, first: int, match, family, budget: int):
+def _shortest_layers(moves: _MoveTable, first: int, match, family):
     """(layers, explored): `layers[j]` holds the codes at distance j from
     `first` on a shortest path to a code that `match` accepts, and layers
     is None when no such code is reachable.
@@ -456,7 +433,9 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family, budget: int):
     frontier + 1 goal codes are ever listed.  A listed family seeds the goal
     side, and the side with the smaller frontier grows (the start side on a
     tie) until a new level meets the other side's labels.  `explored` counts
-    the states either side labelled.
+    the states either side labelled; the sides stay disjoint until they
+    meet, since every start-side level is goal-tested before the goal side
+    is seeded, so it never passes the number of states.
     """
     goals: list[int] = []
     fwd, fseen = [[first]], {first}
@@ -475,8 +454,6 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family, budget: int):
                 if len(goals) <= len(fwd[-1]):  # the family is exhausted
                     bwd.append(goals)
                     bseen.update(goals)
-        if len(fseen) + len(bseen) > budget:
-            raise BudgetExceededError(budget, len(fseen) + len(bseen), "search")
         if not bwd or len(fwd[-1]) <= len(bwd[-1]):
             levels, seen, other = fwd, fseen, bseen
         else:
@@ -598,7 +575,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     moves = _shunt_moves(spec)
     first = codec.encode(start.tracks)
     layers, explored = _shortest_layers(
-        moves, first, _compile_match(spec, goal), _iter_matching_codes(spec, goal), budget
+        moves, first, _compile_match(spec, goal), _iter_matching_codes(spec, goal)
     )
     if layers is None:
         return SearchReport(None, None, explored)
@@ -636,7 +613,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         raise BudgetExceededError(budget, total, "worst-case sweep")
     codec = position_codec(spec)
     sources = matching_codes(spec, goal, "the goal pattern")
-    levels, visited = _bfs_levels(_shunt_moves(spec), sources, budget=budget)
+    levels, visited = _bfs_levels(_shunt_moves(spec), sources)
     explored = sum(len(level) for level in levels)
 
     if explored < total:
@@ -683,7 +660,7 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
     for seed in _card_state_codes(spec):
         if seed in visited:
             continue
-        levels, _visited = _bfs_levels(moves, [seed], budget=budget, visited=visited)
+        levels, _visited = _bfs_levels(moves, [seed], visited=visited)
         sizes.append(sum(len(level) for level in levels))
         if len(visited) == total:
             break
@@ -703,7 +680,7 @@ def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
     codec = state_codec(spec)
     dst = codec.encode(goal.piles)
     layers, _explored = _shortest_layers(
-        _card_moves(spec), codec.encode(start.piles), lambda code: code == dst, iter([dst]), budget
+        _card_moves(spec), codec.encode(start.piles), lambda code: code == dst, iter([dst])
     )
     return None if layers is None else len(layers) - 1
 
@@ -728,7 +705,7 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     diameter = 0
     # the first `shapes` codes deal cards 1..w in order over each composition
     for source in itertools.islice(_card_state_codes(spec), shapes):
-        levels, visited = _bfs_levels(moves, [source], budget=budget)
+        levels, visited = _bfs_levels(moves, [source])
         if len(visited) != total:
             raise DisconnectedGraphError(cards_component_census(spec, budget=budget))
         diameter = max(diameter, len(levels) - 1)

@@ -2,7 +2,11 @@
 
 The oracles here deliberately use only the model-level move operations,
 never the packed search kernel, so kernel results are checked against an
-independent route.
+independent route.  Two of them stand in for the package's packed forms:
+`legal_moves` lists a position's moves in the reference order (siding,
+pull before push, count) that the move tables must keep, and
+`pattern_matches` tests a position against a goal pattern track by track,
+as the compiled goal test must.
 """
 
 from __future__ import annotations
@@ -15,13 +19,20 @@ import pytest
 from hypothesis import strategies as st
 
 from inglenook import (
+    PULL,
+    PUSH,
     CardsSpec,
     CardsState,
+    FormatError,
+    GoalPattern,
     Position,
     PuzzleSpec,
+    ShuntMove,
+    TrackRule,
     apply_move,
-    legal_moves,
+    validate_position,
 )
+from inglenook.search import ANY, EMPTY, EXACT, SET_ANY_ORDER
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -84,7 +95,69 @@ def card_states(draw, spec: CardsSpec):
     return CardsState(tuple(tuple(p) for p in piles))
 
 
+@st.composite
+def specs_with_patterns(draw):
+    """Small specs with patterns of every rule kind, over several
+    alternatives, including over-capacity, out-of-range and twice-pinned
+    wagons."""
+    spec = draw(puzzle_specs(max_w=4, max_h=2, max_s=3, max_cap=2))
+    wagon = st.integers(0, spec.w + 1)
+    alternatives = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.permutations(list(range(1, spec.w + 1))))
+        alt = []
+        for i in range(spec.s + 1):
+            kind = draw(st.sampled_from([ANY, EMPTY, EXACT, SET_ANY_ORDER]))
+            wagons = ()
+            if kind in (EXACT, SET_ANY_ORDER):
+                n = draw(st.integers(0, spec.track_capacity(i) + 1))
+                wagons, pool = pool[:n], pool[n:]
+                if draw(st.booleans()):
+                    wagons = draw(st.lists(wagon, max_size=spec.track_capacity(i) + 1))
+            alt.append(TrackRule(kind, wagons))
+        alternatives.append(tuple(alt))
+    return spec, GoalPattern(tuple(alternatives))
+
+
 # --- naive oracles ----------------------------------------------------------
+
+def legal_moves(spec: PuzzleSpec, p: Position) -> list[ShuntMove]:
+    """All moves applicable at p, ordered by (siding, pull before push, count)."""
+    validate_position(spec, p)
+    moves = []
+    free_head = spec.h - len(p.headshunt)
+    for r in range(1, spec.s + 1):
+        held = len(p.tracks[r])
+        for k in range(1, min(held, free_head) + 1):
+            moves.append(ShuntMove(r, PULL, k))
+        free_siding = spec.m[r - 1] - held
+        for k in range(1, min(len(p.headshunt), free_siding) + 1):
+            moves.append(ShuntMove(r, PUSH, k))
+    return moves
+
+
+def pattern_matches(spec: PuzzleSpec, pattern: GoalPattern, p: Position) -> bool:
+    """True when some alternative of `pattern` holds on every track of p."""
+    validate_position(spec, p)
+    for alt in pattern.alternatives:
+        if len(alt) != spec.s + 1:
+            raise FormatError(
+                f"alternative has {len(alt)} tracks, spec has {spec.s + 1}"
+            )
+        if all(_rule_matches(rule, track) for rule, track in zip(alt, p.tracks)):
+            return True
+    return False
+
+
+def _rule_matches(rule: TrackRule, track: tuple[int, ...]) -> bool:
+    if rule.kind == ANY:
+        return True
+    if rule.kind == EMPTY:
+        return not track
+    if rule.kind == EXACT:
+        return track == rule.wagons
+    return len(track) == len(rule.wagons) and set(track) == set(rule.wagons)
+
 
 def naive_distances(spec: PuzzleSpec, start: Position) -> dict[Position, int]:
     """Plain breadth-first distances using only model-level operations."""

@@ -217,6 +217,32 @@ def test_diameter_budget_refusal():
     assert "budget" in err
 
 
+TINY_FLAGS = ("--wagons", "3", "--headshunt", "2", "--sidings", "2 2 1")
+
+
+@pytest.mark.parametrize("budget,exit_code", [("-5", 2), ("abc", 2), ("0", 3)])
+def test_budget_must_be_a_non_negative_integer(budget, exit_code):
+    # a negative budget is an input error, as a non-integer one is; zero
+    # is a budget that refuses every search
+    code, out, err = run_cli("worst", *TINY_FLAGS, "--start", "*", "--goal", "S1 = [1]",
+                             "--budget", budget)
+    assert code == exit_code
+    assert out == ""
+    if exit_code == 2:
+        assert f"argument --budget: invalid non_negative_int value: '{budget}'" in err
+    else:
+        assert err.startswith("error: worst-case sweep needs about 78 states")
+
+
+@pytest.mark.parametrize("clause", ["S1 = [1,1]", "S1 ~ {1,1}"])
+def test_repeated_wagon_in_a_clause_is_named(clause):
+    # an exact list and an any-order set refuse a repeat alike, at parse time
+    code, out, err = run_cli("gen", *TINY_FLAGS, "--start", clause)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {clause[5:]} repeats a wagon (line 1)\n"
+
+
 def test_gen_is_reproducible(tmp_path):
     spec = write(tmp_path, "s.spec", SMALL_SPEC)
     runs = [run_cli("gen", "--spec", spec, "--start", "H = []", "--seed", "42")

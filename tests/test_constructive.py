@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inglenook import (
     PULL,
@@ -26,6 +27,7 @@ from inglenook import (
     cards_move_bound,
     cards_spec,
     inglenook_move_bound,
+    inglenook_solvable,
     is_convertible,
     parse_position,
     replay,
@@ -36,9 +38,18 @@ from inglenook import (
     to_cards,
 )
 from inglenook.constructive import format_card_move, format_move_list, format_trace
+from inglenook.model import position_codec
 from inglenook.search import GoalPattern, parse_pattern
 
-from conftest import all_card_states, card_states, cards_specs
+from conftest import (
+    all_card_states,
+    all_positions,
+    card_states,
+    cards_specs,
+    pattern_matches,
+    positions,
+    specs_with_patterns,
+)
 
 CLASSIC = PuzzleSpec(8, 3, (3, 3, 5))
 
@@ -252,8 +263,6 @@ def test_solve_inglenook_randoms_replay_within_bound():
             continue
         w = rng.randint(1, min(8, h + sum(m) - 1))
         spec = PuzzleSpec(w, h, m)
-        from inglenook import inglenook_solvable
-
         if not inglenook_solvable(spec).solvable:
             continue
         start, goal = _random_position(rng, spec), _random_position(rng, spec)
@@ -268,13 +277,38 @@ def test_solve_to_pattern_reaches_classic_goal():
     pattern = parse_pattern(CLASSIC, "H = []; S1 = []; S2 ~ {1,2,3}; S3 = [4,5,6,7,8]")
     trace = solve_to_pattern(CLASSIC, start, pattern)
     final = replay(CLASSIC, start, trace.moves)[-1]
-    assert pattern.matches(CLASSIC, final)
+    assert pattern_matches(CLASSIC, pattern, final)
 
 
 def test_solve_to_pattern_matching_start_is_empty_trace():
     start = parse_position(CLASSIC, "H:[]|S1:[]|S2:[4,7,8]|S3:[1,6,2,3,5]")
     pattern = parse_pattern(CLASSIC, "S3 = [1,6,2,3,5]")
     assert solve_to_pattern(CLASSIC, start, pattern).moves == ()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_to_pattern_start_check_agrees_with_object_level_match(data):
+    # the start check runs the compiled goal test on the start's code; a
+    # start that fails it is solved to the matching position of least code
+    spec, pattern = data.draw(specs_with_patterns().filter(
+        lambda case: inglenook_solvable(case[0]).solvable))
+    start = data.draw(positions(spec))
+    codec = position_codec(spec)
+    matching = [codec.encode(p.tracks) for p in all_positions(spec)
+                if pattern_matches(spec, pattern, p)]
+    if not matching:
+        with pytest.raises(UnsatisfiablePatternError):
+            solve_to_pattern(spec, start, pattern)
+        return
+    trace = solve_to_pattern(spec, start, pattern)
+    if pattern_matches(spec, pattern, start):
+        assert trace.moves == () and trace.finish == start
+        return
+    assert trace.moves != ()
+    assert replay(spec, start, trace.moves)[-1] == trace.finish
+    assert pattern_matches(spec, pattern, trace.finish)
+    assert codec.encode(trace.finish.tracks) == min(matching)
 
 
 def test_solve_to_pattern_unsatisfiable_reports_conflicts():

@@ -1,4 +1,4 @@
-"""Model-level behaviour: moves, conversions, encodings, text formats."""
+"""Model-level behaviour: moves, conversions, packed codes, text formats."""
 
 from __future__ import annotations
 
@@ -17,14 +17,11 @@ from inglenook import (
     PuzzleSpec,
     ShuntMove,
     apply_move,
-    canonical_encoding,
     cards_spec,
     count_positions,
-    decode_position,
     format_position,
     from_cards,
     is_convertible,
-    legal_moves,
     parse_position,
     parse_spec_text,
     replay,
@@ -35,9 +32,10 @@ from inglenook.model import (
     format_move,
     parse_move,
     parse_position_with_labels,
+    position_codec,
 )
 
-from conftest import positions, puzzle_specs, specs_with_positions
+from conftest import legal_moves, positions, puzzle_specs, specs_with_positions
 
 
 CLASSIC = PuzzleSpec(8, 3, (3, 3, 5))
@@ -207,9 +205,11 @@ def test_cards_round_trip(case):
 @settings(max_examples=200)
 def test_encoding_round_trip_and_width(case):
     spec, p = case
-    enc = canonical_encoding(spec, p)
-    assert len(enc) == spec.h + sum(spec.m)  # one byte per capacity slot here
-    assert decode_position(spec, enc) == p
+    codec = position_codec(spec)
+    code = codec.encode(p.tracks)
+    assert codec.total_slots == spec.h + sum(spec.m)
+    assert code.bit_length() <= codec.bits * codec.total_slots
+    assert codec.decode(code) == p.tracks
 
 
 @given(puzzle_specs(max_w=5))
@@ -219,11 +219,12 @@ def test_encoding_injective_within_spec(spec):
 
     if count_positions(spec) > 3000:
         return
+    codec = position_codec(spec)
     seen = {}
     for p in all_positions(spec):
-        enc = canonical_encoding(spec, p)
-        assert enc not in seen
-        seen[enc] = p
+        code = codec.encode(p.tracks)
+        assert code not in seen
+        seen[code] = p
 
 
 def test_replay_runs_every_intermediate_check():

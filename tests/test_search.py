@@ -24,14 +24,12 @@ from inglenook import (
     PuzzleSpec,
     UnsatisfiablePatternError,
     apply_move,
-    canonical_encoding,
     cards_component_census,
     cards_connected,
     cards_diameter,
     cards_distance,
     count_positions,
     count_states,
-    legal_moves,
     matching_codes,
     optimal_solve,
     ordering_displacement,
@@ -66,12 +64,14 @@ from conftest import (
     card_neighbors,
     card_states,
     cards_specs,
+    legal_moves,
     naive_card_distances,
     naive_cards_components,
     naive_distances,
     naive_first_match,
+    pattern_matches,
     positions,
-    puzzle_specs,
+    specs_with_patterns,
     specs_with_positions,
 )
 
@@ -94,7 +94,8 @@ def test_optimal_matches_naive_oracle(case):
         return
     dist = naive_distances(spec, start)
     # farthest reachable position, via the oracle only
-    target = max(dist, key=lambda p: (dist[p], canonical_encoding(spec, p)))
+    codec = position_codec(spec)
+    target = max(dist, key=lambda p: (dist[p], codec.encode(p.tracks)))
     report = optimal_solve(spec, start, GoalPattern.exact_position(target))
     assert report.distance == dist[target]
     path = replay(spec, start, report.trace.moves)
@@ -107,7 +108,8 @@ def test_optimal_matches_naive_oracle(case):
 def test_distance_is_symmetric(case):
     spec, start = case
     dist = naive_distances(spec, start)
-    reachable = sorted(dist, key=lambda p: canonical_encoding(spec, p))[:3]
+    codec = position_codec(spec)
+    reachable = sorted(dist, key=lambda p: codec.encode(p.tracks))[:3]
     for other in reachable:
         fwd = optimal_solve(spec, start, GoalPattern.exact_position(other))
         back = optimal_solve(spec, other, GoalPattern.exact_position(start))
@@ -143,7 +145,8 @@ def test_optimal_trace_is_the_first_forward_move_back_to_the_start(data):
     # order whose predecessor is one step nearer the start
     spec, start = data.draw(specs_with_positions(max_w=4, max_h=2, max_s=3, max_cap=2))
     dist = naive_distances(spec, start)
-    goal = data.draw(st.sampled_from(sorted(dist, key=lambda p: canonical_encoding(spec, p))))
+    codec = position_codec(spec)
+    goal = data.draw(st.sampled_from(sorted(dist, key=lambda p: codec.encode(p.tracks))))
     want, cur = [], goal
     while dist[cur]:
         back = []
@@ -187,9 +190,9 @@ def test_pattern_matching_and_enumeration():
                for code in matching_codes(SMALL, pattern, "the pattern")]
     # S1 holds {1,2} in some order, S3 is exactly (3), wagon 4 goes anywhere
     # with space outside the headshunt (H pinned empty): S2 has 2 slots
-    assert all(pattern.matches(SMALL, p) for p in matches)
+    assert all(pattern_matches(SMALL, pattern, p) for p in matches)
     assert len(matches) == 2 * 1 * 1  # two orders of S1, wagon 4 must fill S2
-    seen = {canonical_encoding(SMALL, p) for p in matches}
+    seen = {codec.encode(p.tracks) for p in matches}
     assert len(seen) == len(matches)
 
 
@@ -234,46 +237,23 @@ def test_pattern_enumeration_with_sixteen_bit_slots():
     ]
 
 
-@st.composite
-def _specs_with_patterns(draw):
-    """Small specs with patterns of every rule kind, over several
-    alternatives, including over-capacity, out-of-range and twice-pinned
-    wagons."""
-    spec = draw(puzzle_specs(max_w=4, max_h=2, max_s=3, max_cap=2))
-    wagon = st.integers(0, spec.w + 1)
-    alternatives = []
-    for _ in range(draw(st.integers(1, 3))):
-        pool = draw(st.permutations(list(range(1, spec.w + 1))))
-        alt = []
-        for i in range(spec.s + 1):
-            kind = draw(st.sampled_from([ANY, EMPTY, EXACT, SET_ANY_ORDER]))
-            wagons = ()
-            if kind in (EXACT, SET_ANY_ORDER):
-                n = draw(st.integers(0, spec.track_capacity(i) + 1))
-                wagons, pool = pool[:n], pool[n:]
-                if draw(st.booleans()):
-                    wagons = draw(st.lists(wagon, max_size=spec.track_capacity(i) + 1))
-            alt.append(TrackRule(kind, wagons))
-        alternatives.append(tuple(alt))
-    return spec, GoalPattern(tuple(alternatives))
-
-
-@given(_specs_with_patterns())
+@given(specs_with_patterns())
 @settings(max_examples=150, deadline=None)
 def test_compiled_goal_agrees_with_object_level_match(case):
     spec, pattern = case
     codec = position_codec(spec)
     match = _compile_match(spec, pattern)
     for p in all_positions(spec):
-        assert match(codec.encode(p.tracks)) == pattern.matches(spec, p), p
+        assert match(codec.encode(p.tracks)) == pattern_matches(spec, pattern, p), p
 
 
-@given(_specs_with_patterns())
+@given(specs_with_patterns())
 @settings(max_examples=150, deadline=None)
 def test_matching_codes_are_the_matching_positions(case):
     spec, pattern = case
     codec = position_codec(spec)
-    want = {codec.encode(p.tracks) for p in all_positions(spec) if pattern.matches(spec, p)}
+    want = {codec.encode(p.tracks) for p in all_positions(spec)
+            if pattern_matches(spec, pattern, p)}
     if not want:
         with pytest.raises(UnsatisfiablePatternError, match="no valid position matches it"):
             matching_codes(spec, pattern, "it")
@@ -304,11 +284,11 @@ def _first_forward_moves_back(spec, dist, goal):
 def test_optimal_goal_family_keeps_the_forward_hit(data):
     # the two-sided search must finish where a forward search in move order
     # first meets the goal family, and print the same trace
-    spec, pattern = data.draw(_specs_with_patterns())
+    spec, pattern = data.draw(specs_with_patterns())
     start = data.draw(positions(spec))
     report = optimal_solve(spec, start, pattern)
     assert report.explored <= count_positions(spec)
-    first = naive_first_match(spec, start, lambda p: pattern.matches(spec, p))
+    first = naive_first_match(spec, start, lambda p: pattern_matches(spec, pattern, p))
     if first is None:
         assert report.distance is None and report.trace is None
         return
@@ -381,7 +361,7 @@ def test_compiled_goal_with_labels_past_the_slot_high_bit():
         match = _compile_match(spec, pattern)
         for p in starts:
             got = match(codec.encode(p.tracks))
-            assert got == pattern.matches(spec, p), (pattern, p)
+            assert got == pattern_matches(spec, pattern, p), (pattern, p)
             seen.add(got)
     assert seen == {True, False}
 
