@@ -1,27 +1,29 @@
 """Exhaustive and optimal analysis: shortest solutions, worst-case move
 counts, component censuses, and exact diameters at desk scale.
 
-Every search grows its levels with one kernel, `_next_level`, over
-integer-packed codes (see model.SlotCodec).  Both move rules, a block of
-wagons between the headshunt and one siding and one card between two piles,
-are one kind of move table, `_MoveTable`: keyed by a code's occupancy mask,
-which fixes every track's length, it lists that composition's moves as bit
-relocations in a fixed order.  Levels therefore come out in a fixed order,
-so reported distances, exploration counts, and tie-broken traces are
-reproducible bit-for-bit.  An exact card-pile diameter takes one search per
-pile-size composition: renaming cards is a graph automorphism, so a state's
+Both move rules, a block of wagons between the headshunt and one siding and
+one card between two piles, are one kind of move table, `_MoveTable`: keyed
+by the occupancy mask of an integer-packed code (see model.SlotCodec), which
+fixes every track's length, it lists that composition's moves as bit
+relocations in a fixed order.  Reported distances, exploration counts,
+witnesses and tie-broken traces follow from that order, so they are
+reproducible bit-for-bit.  Shortest paths run on codes: `_next_level` grows
+a level of codes, and `_shortest_layers` grows a start and a goal side until
+they meet, for `optimal_solve` and `cards_distance`.  The optimal trace steps
+from the start by the first move in table order into the next shortest-path
+layer, to the finish a forward search alone would hit, and then walks back
+by the first forward move in (siding, pull before push, count) order.  Full
+sweeps (`worst`, the census, the diameter) run `_bfs_levels` on `_RankMoves`,
+the same moves on (occupancy mask, label-order rank) states, where a move of
+a composition is one list of w! ranks: a whole level moves by list lookups,
+and a sweep keeps three levels and a 16-bit depth per state, not a set of
+every state.  An exact card-pile diameter takes one sweep per pile-size
+composition: renaming cards is a graph automorphism, so a state's
 eccentricity depends only on its pile sizes.  A goal pattern compiles once,
 by `_compile_match`, into a masked compare per alternative plus one set test
 per any-order track.  One enumerator, `_alternative_codes`, lists the codes
-an alternative allows straight from the codec's slot shifts; it serves the
-pattern matches of `gen`, `solve` and `worst`, and, with every pile `ANY`,
-the card states of the census and the diameter.  Full sweeps (`worst`, the
-census, the diameter) run `_bfs_levels`; one shortest-path search,
-`_shortest_layers`, grows a start and a goal side until they meet and
-serves `optimal_solve` and `cards_distance`.  The optimal trace steps from
-the start by the first move in table order into the next shortest-path
-layer, to the finish a forward search alone would hit, and then walks back
-by the first forward move in (siding, pull before push, count) order.
+an alternative allows straight from the codec's slot shifts, for `gen`,
+`solve` and `worst`.
 Budgets are checked once, up front: each public search refuses before it
 starts when the states it could label, every position or card state (times
 the compositions, for the diameter), pass the budget, so the kernels take
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import sys
 from dataclasses import dataclass
 
 from .constructive import SolutionTrace, UnsatisfiablePatternError
@@ -181,7 +184,10 @@ def _parse_rule(op: str, rhs: str, labels: LabelTable, lineno: int) -> TrackRule
         if op == "~":
             raise FormatError("'~' set must not be empty", lineno)
         return TrackRule(EMPTY)
-    wagons = tuple(labels.label(tok.strip()) for tok in inner.split(","))
+    try:
+        wagons = tuple(labels.label(tok.strip()) for tok in inner.split(","))
+    except FormatError as exc:
+        raise FormatError(str(exc), lineno) from None
     if len(set(wagons)) != len(wagons):
         raise FormatError(f"{rhs} repeats a wagon", lineno)
     return TrackRule(EXACT if op == "=" else SET_ANY_ORDER, wagons)
@@ -200,8 +206,10 @@ def pattern_conflicts(spec: PuzzleSpec, pattern: GoalPattern) -> tuple[str, ...]
 
 
 def _alternative_conflict(spec: PuzzleSpec, alt: tuple[TrackRule, ...]) -> str | None:
+    """Why no position satisfies `alt`, or None; an alternative with the
+    wrong track count is malformed, not unsatisfiable, and is refused."""
     if len(alt) != spec.s + 1:
-        return f"has {len(alt)} tracks, spec has {spec.s + 1}"
+        raise FormatError(f"alternative has {len(alt)} tracks, spec has {spec.s + 1}")
     pinned: set[int] = set()
     free_capacity = 0
     for i, rule in enumerate(alt):
@@ -231,10 +239,14 @@ def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[in
     order; refuses a pattern that no position matches, naming it `what`."""
     codes = list(_iter_matching_codes(spec, pattern))
     if not codes:
-        raise UnsatisfiablePatternError(
-            f"no valid position matches {what}", pattern_conflicts(spec, pattern)
-        )
+        raise _unsatisfiable(spec, pattern, what)
     return codes
+
+
+def _unsatisfiable(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> UnsatisfiablePatternError:
+    return UnsatisfiablePatternError(
+        f"no valid position matches {what}", pattern_conflicts(spec, pattern)
+    )
 
 
 def _iter_matching_codes(spec: PuzzleSpec, pattern: GoalPattern):
@@ -357,6 +369,10 @@ class _MoveTable(dict):
         self[occ] = moves
         return moves
 
+    def children(self, code: int) -> list[int]:
+        """The children of `code`, in table order."""
+        return _next_level(self, [code], set())
+
 
 def _shunt_moves(spec: PuzzleSpec, *, pushes_first: bool = False) -> _MoveTable:
     """Blocks of any size between the headshunt, open at its back, and a
@@ -390,34 +406,172 @@ def _next_level(moves: _MoveTable, frontier, seen: set[int]) -> list[int]:
     return nxt
 
 
-def _first_child(moves: _MoveTable, code: int, layer: set[int]) -> int:
-    """The first child of `code`, in table order, that lies in `layer`."""
-    for child in _next_level(moves, [code], set()):
+def _first_child(moves, state, layer):
+    """The first child of `state`, in the table order of `moves` (a
+    `_MoveTable` over codes or a `_RankMoves` over (mask, rank) states),
+    that lies in `layer`."""
+    for child in moves.children(state):
         if child in layer:
             return child
     raise InternalCheckError("shortest-path layers must link every step")
 
 
-def _bfs_levels(moves: _MoveTable, sources: list[int], *, visited: set[int] | None = None):
-    """Level-synchronous search from `sources` until nothing new is reached,
-    growing each level by the move table `moves`, so each level lists its
-    codes in move order.  Returns (levels, visited).
+def _first_path_end(moves, first, layers):
+    """Where the path from `first` ends that takes, at every step, the
+    first move in table order into the next of the shortest-path `layers`:
+    the end a forward level-order search from `first` reaches first."""
+    hit = first
+    for layer in layers[1:]:
+        hit = _first_child(moves, hit, layer)
+    return hit
 
-    A `visited` set passed in is shared: codes already in it are neither
-    sources nor children, and the codes found are added to it.
+
+class _RankMoves(dict):
+    """The moves of a `_MoveTable` on states written as (occupancy mask,
+    rank).  A state's places list, for labels 1..w in turn, the index of the
+    label's slot among the occupied slots in reading order (slot by slot,
+    the first track's first slot first); its rank is the lexicographic rank
+    of its places among the w! orders of 0..w-1.
+
+    A move sends the label at place j to place t[j] whatever the labels, so
+    it maps the places of every state alike, by `bytes.translate`, and is
+    one list `T` of w! ranks: T[rank] is the child's rank.  Moves with the
+    same t share a list, and a whole tuple of ranks moves with no arithmetic
+    per state.  An entry, keyed by occupancy mask and built on first use
+    from the move table's entries, lists (child mask, T) in table order.
+    The ranks are the int objects of `rank`, shared by every list and level.
     """
-    if visited is None:
-        visited = set()
-    frontier: list[int] = []
-    for code in sources:
-        if code not in visited:
-            visited.add(code)
-            frontier.append(code)
-    levels: list[list[int]] = []
-    while frontier:
-        levels.append(frontier)
-        frontier = _next_level(moves, frontier, visited)
-    return levels, visited
+
+    def __init__(self, moves: _MoveTable, w: int):
+        super().__init__()
+        self.moves = moves
+        self.w = w
+        self.places = list(map(bytes, itertools.permutations(range(w))))
+        self.rank = dict(zip(self.places, range(len(self.places))))
+        self.tables: dict[int, list[int]] = {}
+        self._slots: dict[int, list[int]] = {}
+
+    def slots(self, occ: int) -> list[int]:
+        """Shifts of the occupied slots of `occ`, in reading order."""
+        slots = self._slots.get(occ)
+        if slots is None:
+            codec = self.moves.codec
+            slots = self._slots[occ] = [
+                codec.bits * j for j in range(codec.total_slots - 1, -1, -1)
+                if occ >> (codec.bits * j + codec.bits - 1) & 1
+            ]
+        return slots
+
+    def state(self, code: int) -> tuple[int, int]:
+        low, slot = self.moves.low, self.moves.codec.slot_mask
+        occ = (((code & low) + low) | code) & self.moves.high
+        places = bytearray(self.w)
+        for place, shift in enumerate(self.slots(occ)):
+            places[((code >> shift) & slot) - 1] = place
+        return occ, self.rank[bytes(places)]
+
+    def code(self, occ: int, rank: int) -> int:
+        slots = self.slots(occ)
+        return sum(label << slots[place] for label, place in enumerate(self.places[rank], 1))
+
+    def __missing__(self, occ: int) -> list[tuple[int, list[int]]]:
+        # rank 0 puts label j+1 at place j, so a child's places are the t
+        # of the move that made it
+        entry = []
+        for child in self.moves.children(self.code(occ, 0)):
+            child_occ, t = self.state(child)
+            if t not in self.tables:
+                moved = map(bytes.translate, self.places,
+                            itertools.repeat(self.places[t] + bytes(256 - self.w)))
+                self.tables[t] = list(map(self.rank.__getitem__, moved))
+            entry.append((child_occ, self.tables[t]))
+        self[occ] = entry
+        return entry
+
+    def children(self, state: tuple[int, int]) -> list[tuple[int, int]]:
+        """The children of `state`, in table order."""
+        occ, rank = state
+        return [(child, table[rank]) for child, table in self[occ]]
+
+
+def _occupancies(codec, w: int) -> list[int]:
+    """The occupancy mask of every layout of w labels, in `_track_lengths`
+    order."""
+    top = codec.bits - 1
+    return [sum(1 << (shift + top)
+                for i, k in enumerate(lens) for shift in _leading_shifts(codec, i, k))
+            for lens in _track_lengths(codec.caps, w)]
+
+
+def _depth_map(ranks: _RankMoves) -> dict[int, memoryview]:
+    """A zeroed 16-bit depth entry per state, w! entries per mask, each a
+    view of a bytearray; `_bfs_levels` stores level + 1, so a sweep may run
+    65,534 levels."""
+    n = len(ranks.places)
+    return {occ: memoryview(bytearray(2 * n)).cast("H")
+            for occ in _occupancies(ranks.moves.codec, ranks.w)}
+
+
+def _bfs_levels(ranks: _RankMoves, sources, depth: dict[int, memoryview]) -> list[int]:
+    """Level-synchronous sweep from the distinct (mask, rank) states
+    `sources`, none of them recorded in `depth` yet, until nothing new is
+    reached; returns the level sizes.
+
+    A level maps each occupancy mask to a tuple of ranks, and grows a whole
+    tuple at a time through each move's rank table, one child mask at a
+    time.  Every move has an inverse, so the children of a level lie in the
+    previous, the same or the next level, and deduping against the first
+    two is exact: no set of every visited state is kept (frontier search,
+    Korf et al. 2005), and a level costs a pointer per state.
+    `depth[occ][rank]` is set to the state's level plus one.
+    """
+    found: dict[int, list[int]] = {}
+    for occ, rank in sources:
+        found.setdefault(occ, []).append(rank)
+    level = {occ: tuple(group) for occ, group in found.items()}
+    prev: dict[int, tuple[int, ...]] = {}
+    sizes: list[int] = []
+    while level:
+        sizes.append(sum(map(len, level.values())))
+        mark = len(sizes)
+        into: dict[int, list] = {}
+        for occ, group in level.items():
+            seen = depth[occ]
+            for rank in group:
+                seen[rank] = mark
+            pick = _picker(group)
+            for child, table in ranks[occ]:
+                into.setdefault(child, []).append((pick, table))
+        nxt: dict[int, tuple[int, ...]] = {}
+        for child, edges in into.items():
+            grown = set()
+            for pick, table in edges:
+                grown.update(pick(table))
+            grown.difference_update(level.get(child, ()))
+            grown.difference_update(prev.get(child, ()))
+            if grown:
+                nxt[child] = tuple(grown)
+        prev, level = level, nxt
+    return sizes
+
+
+def _picker(ranks: tuple[int, ...]):
+    """A callable giving a rank table's entries at `ranks`, as a tuple."""
+    if len(ranks) == 1:
+        return lambda table: (table[ranks[0]],)
+    return operator.itemgetter(*ranks)
+
+
+def _level_states(depth: dict[int, memoryview], d: int):
+    """The (mask, rank) states `_bfs_levels` put at level d."""
+    key = (d + 1).to_bytes(2, sys.byteorder)
+    for occ, seen in depth.items():
+        raw = seen.obj
+        at = raw.find(key)
+        while at >= 0:
+            if at % 2 == 0:  # a match across two entries is none
+                yield occ, at // 2
+            at = raw.find(key, at + 1)
 
 
 def _shortest_layers(moves: _MoveTable, first: int, match, family):
@@ -493,8 +647,6 @@ def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
     bits, slot = codec.bits, codec.slot_mask
     compiled = []
     for alt in pattern.alternatives:
-        if len(alt) != spec.s + 1:
-            raise FormatError(f"alternative has {len(alt)} tracks, spec has {spec.s + 1}")
         if _alternative_conflict(spec, alt):
             continue
         mask = 0
@@ -579,11 +731,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     )
     if layers is None:
         return SearchReport(None, None, explored)
-    # A forward search alone hits the end of the shortest path whose move
-    # comes first in table order at every step.
-    hit = first
-    for layer in layers[1:]:
-        hit = _first_child(moves, hit, layer)
+    hit = _first_path_end(moves, first, layers)
     distance = len(layers) - 1
     trace_moves, origin = _reconstruct(spec, layers, hit, distance)
     if origin != start:
@@ -607,30 +755,50 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     When both patterns are closed under renaming wagons this is also the
     worst case over every renaming of the goal, since renamings are graph
     automorphisms.
+
+    The witness is the first start match in the deepest level that has one,
+    in the order a level-order search over codes would list it: by its
+    least (source, moves...) path, sources in `matching_codes` order and
+    moves in table order.  The sweep keeps no order, so that path is
+    rebuilt from the start matches of that level back through the recorded
+    levels to the sources, and walked forward from the first source on it.
     """
     total = count_positions(spec)
     if total > budget:
         raise BudgetExceededError(budget, total, "worst-case sweep")
+    smatch = _compile_match(spec, start_pattern)
+    goals = matching_codes(spec, goal, "the goal pattern")
+    if next(_iter_matching_codes(spec, start_pattern), None) is None:
+        raise _unsatisfiable(spec, start_pattern, "the start pattern")
     codec = position_codec(spec)
-    sources = matching_codes(spec, goal, "the goal pattern")
-    levels, visited = _bfs_levels(_shunt_moves(spec), sources)
-    explored = sum(len(level) for level in levels)
+    ranks = _RankMoves(_shunt_moves(spec), spec.w)
+    depth = _depth_map(ranks)
+    sizes = _bfs_levels(ranks, map(ranks.state, goals), depth)
+    explored = sum(sizes)
 
     if explored < total:
         # Some positions cannot reach the goal set at all; report the first
         # matching start among them, if any.
         for code in matching_codes(spec, start_pattern, "the start pattern"):
-            if code not in visited:
+            occ, rank = ranks.state(code)
+            if not depth[occ][rank]:
                 return WorstCaseReport(None, Position(codec.decode(code)), explored)
 
-    smatch = _compile_match(spec, start_pattern)
-    for depth in range(len(levels) - 1, -1, -1):
-        for code in levels[depth]:
-            if smatch(code):
-                return WorstCaseReport(depth, Position(codec.decode(code)), explored)
-    raise UnsatisfiablePatternError(
-        "no valid position matches the start pattern", pattern_conflicts(spec, start_pattern)
-    )
+    for d in range(len(sizes) - 1, 0, -1):
+        ends = {state for state in _level_states(depth, d) if smatch(ranks.code(*state))}
+        if ends:
+            break
+    else:
+        # level 0 lists the goal's matches themselves, in order
+        return WorstCaseReport(0, Position(codec.decode(next(filter(smatch, goals)))), explored)
+    layers: list = [None] * (d + 1)
+    layers[d] = ends
+    for j in range(d, 0, -1):
+        layers[j - 1] = {(occ, rank) for state in layers[j]
+                         for occ, rank in ranks.children(state) if depth[occ][rank] == j}
+    first = next(state for state in map(ranks.state, goals) if state in layers[0])
+    end = _first_path_end(ranks, first, layers)
+    return WorstCaseReport(d, Position(codec.decode(ranks.code(*end))), explored)
 
 
 # --- card-pile analyses -----------------------------------------------------
@@ -642,30 +810,20 @@ class CensusReport:
     sizes: tuple[int, ...]  # descending
 
 
-def _card_state_codes(spec: CardsSpec):
-    """Every card state's code: the alternative with every pile `ANY`.
-    The first `_compositions(spec.m, spec.w)` codes deal cards 1..w in order
-    over each pile-size composition, in `_track_lengths` order."""
-    return _alternative_codes(state_codec(spec), (TrackRule(ANY),) * len(spec.m), spec.w)
-
-
 def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Count connected components of the card-pile graph exhaustively."""
     total = count_states(spec)
     if total > budget:
         raise BudgetExceededError(budget, total, "component census")
-    moves = _card_moves(spec)
-    visited: set[int] = set()
+    ranks = _RankMoves(_card_moves(spec), spec.w)
+    depth = _depth_map(ranks)
     sizes = []
-    for seed in _card_state_codes(spec):
-        if seed in visited:
-            continue
-        levels, _visited = _bfs_levels(moves, [seed], visited=visited)
-        sizes.append(sum(len(level) for level in levels))
-        if len(visited) == total:
-            break
-    if len(visited) != total:
-        raise InternalCheckError(f"the census visited {len(visited)} of {total} states")
+    for occ, seen in depth.items():
+        for rank in range(len(seen)):
+            if not seen[rank]:
+                sizes.append(sum(_bfs_levels(ranks, [(occ, rank)], depth)))
+    if sum(sizes) != total:
+        raise InternalCheckError(f"the census visited {sum(sizes)} of {total} states")
     return CensusReport(total, len(sizes), tuple(sorted(sizes, reverse=True)))
 
 
@@ -701,14 +859,14 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     if shapes * total > budget:
         raise BudgetExceededError(budget, shapes * total, "all-sources diameter")
 
-    moves = _card_moves(spec)
+    ranks = _RankMoves(_card_moves(spec), spec.w)
     diameter = 0
-    # the first `shapes` codes deal cards 1..w in order over each composition
-    for source in itertools.islice(_card_state_codes(spec), shapes):
-        levels, visited = _bfs_levels(moves, [source])
-        if len(visited) != total:
+    # rank 0 deals cards 1..w in order over a composition
+    for occ in _occupancies(ranks.moves.codec, spec.w):
+        sizes = _bfs_levels(ranks, [(occ, 0)], _depth_map(ranks))
+        if sum(sizes) != total:
             raise DisconnectedGraphError(cards_component_census(spec, budget=budget))
-        diameter = max(diameter, len(levels) - 1)
+        diameter = max(diameter, len(sizes) - 1)
 
     lower_bound_family = spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1)
     if lower_bound_family and diameter < (spec.w * spec.w + 2) // 4:

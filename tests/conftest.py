@@ -6,7 +6,9 @@ independent route.  Two of them stand in for the package's packed forms:
 `legal_moves` lists a position's moves in the reference order (siding,
 pull before push, count) that the move tables must keep, and
 `pattern_matches` tests a position against a goal pattern track by track,
-as the compiled goal test must.
+as the compiled goal test must.  `naive_worst` takes its sources and its
+start order from `matching_codes`, the package's enumerator, since that
+order decides the reported witness.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from inglenook import (
     ShuntMove,
     TrackRule,
     apply_move,
+    matching_codes,
     validate_position,
 )
+from inglenook.model import position_codec
 from inglenook.search import ANY, EMPTY, EXACT, SET_ANY_ORDER
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -96,11 +100,9 @@ def card_states(draw, spec: CardsSpec):
 
 
 @st.composite
-def specs_with_patterns(draw):
-    """Small specs with patterns of every rule kind, over several
-    alternatives, including over-capacity, out-of-range and twice-pinned
-    wagons."""
-    spec = draw(puzzle_specs(max_w=4, max_h=2, max_s=3, max_cap=2))
+def patterns(draw, spec: PuzzleSpec):
+    """Patterns of every rule kind over several alternatives, including
+    over-capacity, out-of-range and twice-pinned wagons."""
     wagon = st.integers(0, spec.w + 1)
     alternatives = []
     for _ in range(draw(st.integers(1, 3))):
@@ -116,7 +118,14 @@ def specs_with_patterns(draw):
                     wagons = draw(st.lists(wagon, max_size=spec.track_capacity(i) + 1))
             alt.append(TrackRule(kind, wagons))
         alternatives.append(tuple(alt))
-    return spec, GoalPattern(tuple(alternatives))
+    return GoalPattern(tuple(alternatives))
+
+
+@st.composite
+def specs_with_patterns(draw):
+    """Small specs, each with one of `patterns`."""
+    spec = draw(puzzle_specs(max_w=4, max_h=2, max_s=3, max_cap=2))
+    return spec, draw(patterns(spec))
 
 
 # --- naive oracles ----------------------------------------------------------
@@ -192,6 +201,38 @@ def naive_first_match(spec: PuzzleSpec, start: Position, matches):
                     nxt.append(q)
         level, depth = nxt, depth + 1
     return None
+
+
+def naive_worst(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern):
+    """(distance, start, explored, unreached) by an ordered multi-source
+    breadth-first search over positions: sources are the goal's matches in
+    `matching_codes` order, children come in `legal_moves` order, and each
+    position keeps its first discovery.  `distance` is the deepest level
+    holding a start match and `start` the first such match in that level;
+    `unreached` is the first start match, in `matching_codes` order, that
+    the search never reaches, or None."""
+    codec = position_codec(spec)
+    level = [Position(codec.decode(code))
+             for code in matching_codes(spec, goal, "the goal pattern")]
+    starts = [Position(codec.decode(code))
+              for code in matching_codes(spec, start_pattern, "the start pattern")]
+    seen = set(level)
+    distance = start = None
+    depth = 0
+    while level:
+        hits = [p for p in level if pattern_matches(spec, start_pattern, p)]
+        if hits:
+            distance, start = depth, hits[0]
+        nxt = []
+        for p in level:
+            for mv in legal_moves(spec, p):
+                q = apply_move(spec, p, mv)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        level, depth = nxt, depth + 1
+    unreached = next((p for p in starts if p not in seen), None)
+    return distance, start, len(seen), unreached
 
 
 def all_positions(spec: PuzzleSpec) -> list[Position]:

@@ -19,6 +19,7 @@ from inglenook import (
     PULL,
     CardsSpec,
     CardsState,
+    FormatError,
     InvalidStateError,
     Position,
     PuzzleSpec,
@@ -39,6 +40,7 @@ from inglenook import (
     reversal_distance,
     solve_cards,
     solve_inglenook,
+    search,
     worst_case_moves,
 )
 from inglenook.model import position_codec, state_codec
@@ -69,7 +71,9 @@ from conftest import (
     naive_cards_components,
     naive_distances,
     naive_first_match,
+    naive_worst,
     pattern_matches,
+    patterns,
     positions,
     specs_with_patterns,
     specs_with_positions,
@@ -147,17 +151,8 @@ def test_optimal_trace_is_the_first_forward_move_back_to_the_start(data):
     dist = naive_distances(spec, start)
     codec = position_codec(spec)
     goal = data.draw(st.sampled_from(sorted(dist, key=lambda p: codec.encode(p.tracks))))
-    want, cur = [], goal
-    while dist[cur]:
-        back = []
-        for mv in legal_moves(spec, cur):
-            fwd, pred = mv.inverse(), apply_move(spec, cur, mv)
-            if dist[pred] == dist[cur] - 1:
-                back.append(((fwd.siding, fwd.direction != PULL, fwd.count), fwd, pred))
-        _key, fwd, cur = min(back, key=lambda b: b[0])
-        want.append(fwd)
     report = optimal_solve(spec, start, GoalPattern.exact_position(goal))
-    assert list(report.trace.moves) == want[::-1]
+    assert list(report.trace.moves) == _first_forward_moves_back(spec, dist, goal)
 
 
 def test_budget_refusal_is_clean():
@@ -376,8 +371,6 @@ def test_pattern_conflicts_report():
 
 
 def test_parse_pattern_errors():
-    from inglenook import FormatError
-
     for clause in ("S9 = [1]", "S0 = [1]", "S00 = [1]"):
         with pytest.raises(FormatError, match="no track S"):
             parse_pattern(SMALL, clause)
@@ -387,6 +380,38 @@ def test_parse_pattern_errors():
         parse_pattern(SMALL, "S1 = [1]; S1 = [2]")
     with pytest.raises(FormatError):
         parse_pattern(SMALL, "")
+
+
+def test_pattern_errors_name_the_line_of_a_wagon():
+    # an unknown token and a repeated wagon both sit on line 2
+    for text, message in (("H = *\nS1 = [9]", "unknown wagon token '9'"),
+                          ("H = *\nS1 = [2,2]", "repeats a wagon")):
+        with pytest.raises(FormatError, match=message) as err:
+            parse_pattern(SMALL, text)
+        assert err.value.line == 2
+        assert str(err.value).endswith("(line 2)")
+
+
+def test_wrong_track_count_is_a_format_error_everywhere(monkeypatch):
+    # a hand-built alternative for a two-track plan is malformed on a
+    # three-track one, not unsatisfiable; `worst` refuses it before sweeping
+    spec = PuzzleSpec(3, 2, (2, 2))
+    short = GoalPattern(((TrackRule(ANY), TrackRule(ANY)),))
+    start = Position(((), (1, 2), (3,)))
+    everything = GoalPattern.all_positions(spec)
+    message = "alternative has 2 tracks, spec has 3"
+    with pytest.raises(FormatError, match=message):
+        matching_codes(spec, short, "the pattern")
+    with pytest.raises(FormatError, match=message):
+        optimal_solve(spec, start, short)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(search, "_bfs_levels", no_sweep)
+    for starts, goal in ((short, everything), (everything, short)):
+        with pytest.raises(FormatError, match=message):
+            worst_case_moves(spec, starts, goal)
 
 
 # --- worst case -------------------------------------------------------------
@@ -427,6 +452,62 @@ def test_worst_case_unreachable_start_reported():
     starts = [Position(codec.decode(code)) for code in
               matching_codes(spec, GoalPattern.all_positions(spec), "the start pattern")]
     assert report.start == next(p for p in starts if p not in dist)
+
+
+@st.composite
+def _specs_with_start_and_goal_patterns(draw):
+    # a single goal position and every start, half of the time each, so that
+    # disconnected specs show unreached starts
+    spec, goal = draw(specs_with_patterns())
+    if draw(st.booleans()):
+        goal = GoalPattern.exact_position(draw(positions(spec)))
+    starts = draw(st.one_of(patterns(spec), st.just(GoalPattern.all_positions(spec))))
+    return spec, starts, goal
+
+
+_ONE_SIDING = PuzzleSpec(2, 2, (2,))  # disconnected: the order never changes
+
+
+@given(_specs_with_start_and_goal_patterns())
+@example((_ONE_SIDING, GoalPattern.all_positions(_ONE_SIDING),
+          GoalPattern.exact_position(Position(((), (1, 2))))))
+@example((_ONE_SIDING, parse_pattern(_ONE_SIDING, "H = [2]\nS1 = [1,2]"),
+          parse_pattern(_ONE_SIDING, "H = []")))
+@settings(max_examples=150, deadline=None)
+def test_worst_case_matches_naive_sweep(case):
+    # distance, witness, explored count and the first unreached start, on
+    # connected and disconnected specs alike
+    spec, starts, goal = case
+    try:
+        distance, start, explored, unreached = naive_worst(spec, starts, goal)
+    except UnsatisfiablePatternError as exc:
+        with pytest.raises(UnsatisfiablePatternError) as err:
+            worst_case_moves(spec, starts, goal)
+        assert str(err.value) == str(exc)
+        return
+    report = worst_case_moves(spec, starts, goal)
+    if unreached is not None:
+        assert (report.distance, report.start, report.explored) == (None, unreached, explored)
+    else:
+        assert (report.distance, report.start, report.explored) == (distance, start, explored)
+
+
+def test_worst_case_witness_is_first_in_move_order_not_the_smallest_code():
+    # nine starts with an empty headshunt need the worst 10 moves; a
+    # level-order search from the goal meets S2:[2,3]|S3:[1] first among
+    # them, while S2:[1,3]|S3:[2] has the smallest code
+    spec = PuzzleSpec(3, 1, (2, 2, 2))
+    goal = GoalPattern.exact_position(parse_position(spec, "H:[]|S1:[]|S2:[1]|S3:[2,3]"))
+    starts = parse_pattern(spec, "H = []")
+    report = worst_case_moves(spec, starts, goal)
+    assert report.distance == 10
+    assert report.start == parse_position(spec, "H:[]|S1:[]|S2:[2,3]|S3:[1]")
+    assert naive_worst(spec, starts, goal)[:3] == (10, report.start, report.explored)
+    dist = naive_distances(spec, parse_position(spec, "H:[]|S1:[]|S2:[1]|S3:[2,3]"))
+    codec = position_codec(spec)
+    deepest = sorted(codec.encode(p.tracks) for p, d in dist.items() if d == 10 and not p.headshunt)
+    assert len(deepest) == 9
+    assert Position(codec.decode(deepest[0])) == parse_position(spec, "H:[]|S1:[]|S2:[1,3]|S3:[2]")
 
 
 def test_worst_case_unsatisfiable_start_is_refused():
