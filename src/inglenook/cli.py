@@ -171,7 +171,8 @@ def _iter_move_lines(spec, text: str, labels):
         if not line or line.startswith("#"):
             continue
         if line.startswith("H:"):
-            yield lineno, ("position", model.parse_position(spec, line, labels))
+            position = model.parse_position_with_labels(spec, line, labels, lineno)[0]
+            yield lineno, ("position", position)
             continue
         if model._KEYVAL_RE.match(line) and not line.upper().startswith(("PULL", "PUSH")):
             continue
@@ -186,12 +187,9 @@ def cmd_verify(args) -> int:
     text = _read_source(args.moves)
     current = start
     count = 0
-    positions_seen = 0
     for lineno, (kind, value) in _iter_move_lines(spec, text, labels):
         if kind == "position":
-            expected = start if positions_seen == 0 else current
-            positions_seen += 1
-            if value != expected:
+            if value != current:
                 raise ReplayFailure(
                     lineno, model.format_position(value, labels),
                     "embedded position does not match the replayed state",

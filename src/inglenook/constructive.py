@@ -1,10 +1,11 @@
 """Guaranteed-valid solutions with enforced move bounds.
 
-The card-pile solver seats the goal's bottom cards one at a time and
-recurses on the rest, which keeps every trace within the quadratic bound
-w^2 + 6w - 6.  Inglenook solutions are obtained by translating card moves
-through the convertible-position correspondence, at most two shunt moves
-per card move, for a bound of 2w^2 + 12w - 10.
+The card-pile solver seats the goal's bottom cards one at a time, in one
+loop over the piles it is given: a seated card never moves again, so each
+pass leaves a smaller instance on the same piles.  Every trace stays within
+the quadratic bound w^2 + 6w - 6.  Inglenook solutions are obtained by
+translating card moves through the convertible-position correspondence, at
+most two shunt moves per card move, for a bound of 2w^2 + 12w - 10.
 """
 
 from __future__ import annotations
@@ -127,48 +128,34 @@ def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> Solutio
 
 
 def _cards_path(caps: list[int], cur: list[list[int]], goal: list[list[int]]) -> list[CardMove]:
-    if cur == goal:
-        return []
-    w = sum(len(p) for p in cur)
-    if w == 1:
-        src = next(i for i, p in enumerate(cur) if p)
-        dst = next(i for i, p in enumerate(goal) if p)
-        _move(cur, src, dst)
-        return [CardMove(src, dst)]
-    if all(c == 1 for c in caps):
-        return _single_slot_path(cur, goal)
+    """Drive `cur` to `goal` in place, seating one goal bottom card a pass.
 
-    target = next(i for i, c in enumerate(caps) if c >= 2)
+    A seated anchor never moves again, so each pass drops it from `caps`,
+    `cur` and `goal` and the rest is a smaller instance on the same piles.
+    """
     out: list[CardMove] = []
-
-    # Make sure the goal we chase has a card in the target pile; if not,
-    # borrow the top of the lowest-numbered occupied pile and put it back
-    # as the very last move.
-    closing: CardMove | None = None
-    if not goal[target]:
-        donor = next(i for i, p in enumerate(goal) if p)
-        goal = [list(p) for p in goal]
-        goal[target].append(goal[donor].pop())
-        closing = CardMove(target, donor)
-
-    anchor = goal[target][0]
-    out.extend(_seat_anchor(caps, cur, target, anchor))
-
-    # With the anchor seated at the bottom of the target pile, the rest is
-    # a smaller instance that never touches it.
-    sub_caps = list(caps)
-    sub_caps[target] -= 1
-    sub_cur = [list(p) for p in cur]
-    sub_cur[target] = sub_cur[target][1:]
-    sub_goal = [list(p) for p in goal]
-    sub_goal[target] = sub_goal[target][1:]
-    sub = _cards_path(sub_caps, sub_cur, sub_goal)
-    out.extend(sub)
-    for mv in sub:
-        _move(cur, mv.source, mv.dest)
-    if closing is not None:
-        _move(cur, closing.source, closing.dest)
-        out.append(closing)
+    closings: list[CardMove] = []
+    while cur != goal:
+        if sum(map(len, cur)) == 1:
+            src = next(i for i, p in enumerate(cur) if p)
+            dst = next(i for i, p in enumerate(goal) if p)
+            out.append(_move(cur, src, dst))
+            break
+        if all(c == 1 for c in caps):
+            out.extend(_single_slot_path(cur, goal))
+            break
+        target = next(i for i, c in enumerate(caps) if c >= 2)
+        # Make sure the goal we chase has a card in the target pile; if not,
+        # borrow the top of the lowest-numbered occupied pile and put it back
+        # once every later pass is done, so the closings run last-in first-out.
+        if not goal[target]:
+            donor = next(i for i, p in enumerate(goal) if p)
+            goal[target].append(goal[donor].pop())
+            closings.append(CardMove(target, donor))
+        out.extend(_seat_anchor(caps, cur, target, goal[target][0]))
+        caps[target] -= 1
+        del cur[target][0], goal[target][0]
+    out.extend(reversed(closings))
     return out
 
 
@@ -198,10 +185,6 @@ def _single_slot_path(cur: list[list[int]], goal: list[list[int]]) -> list[CardM
         where[card] = dest
 
 
-def _spaces(caps: list[int], piles: list[list[int]], i: int) -> int:
-    return caps[i] - len(piles[i])
-
-
 def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: int) -> list[CardMove]:
     """Drive `piles` to a state whose target pile has `anchor` at the bottom.
 
@@ -217,7 +200,7 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
         out.append(_move(piles, src, dst))
 
     def spaces(i):
-        return _spaces(caps, piles, i)
+        return caps[i] - len(piles[i])
 
     n = len(caps)
     home = next(i for i, p in enumerate(piles) if anchor in p)

@@ -9,25 +9,27 @@ relocations in a fixed order.  Reported distances, exploration counts,
 witnesses and tie-broken traces follow from that order, so they are
 reproducible bit-for-bit.  Shortest paths run on codes: `_next_level` grows
 a level of codes, and `_shortest_layers` grows a start and a goal side until
-they meet, for `optimal_solve` and `cards_distance`.  The optimal trace steps
-from the start by the first move in table order into the next shortest-path
-layer, to the finish a forward search alone would hit, and then walks back
-by the first forward move in (siding, pull before push, count) order.  Full
-sweeps (`worst`, the census, the diameter) run `_bfs_levels` on `_RankMoves`,
-the same moves on (occupancy mask, label-order rank) states, where a move of
-a composition is one list of w! ranks: a whole level moves by list lookups,
-and a sweep keeps three levels and a 16-bit depth per state, not a set of
-every state.  An exact card-pile diameter takes one sweep per pile-size
-composition: renaming cards is a graph automorphism, so a state's
-eccentricity depends only on its pile sizes.  A goal pattern compiles once,
-by `_compile_match`, into a masked compare per alternative plus one set test
-per any-order track.  One enumerator, `_alternative_codes`, lists the codes
-an alternative allows straight from the codec's slot shifts, for `gen`,
-`solve` and `worst`.
-Budgets are checked once, up front: each public search refuses before it
-starts when the states it could label, every position or card state (times
-the compositions, for the diameter), pass the budget, so the kernels take
-no budget.
+they meet, for `optimal_solve` and `cards_distance`.  One walker,
+`_first_path`, builds every reported path by the first move in table order
+into each next shortest-path layer: the optimal trace walks from the start
+to the finish a forward search alone would hit, then back over the reversed
+layers on the pushes-first table, which takes the first forward move in
+(siding, pull before push, count) order; `worst` walks from the first goal
+on a deepest path to its witness.  Full sweeps (`worst`, the census, the
+diameter) run `_bfs_levels` on `_RankMoves`, the same moves on (occupancy
+mask, label-order rank) states, where a move of a composition is one list of
+w! ranks: a whole level moves by list lookups, and a sweep keeps three
+levels and a 16-bit depth per state, not a set of every state.  An exact
+card-pile diameter takes one sweep per pile-size composition: renaming cards
+is a graph automorphism, so a state's eccentricity depends only on its pile
+sizes.  A goal pattern compiles once, by `_compile_match`, into a masked
+compare per alternative plus one set test per any-order track.  One
+enumerator, `_alternative_codes`, lists the codes an alternative allows
+straight from the codec's slot shifts, for `gen`, `solve` and `worst`.
+Budgets are checked once, up front, by `_within_budget`: each public search
+refuses before it starts when the states it could label, every position or
+card state (times the compositions, for the diameter), pass the budget, so
+the kernels take no budget.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ class BudgetExceededError(InglenookError):
             f"{what} needs about {estimate} states, over the budget of {budget}; "
             f"raise the budget to proceed"
         )
+
+
+def _within_budget(budget: int, states: int, what: str) -> int:
+    """`states`, the states `what` could label, unless they pass `budget`:
+    then the search is refused before it starts."""
+    if states > budget:
+        raise BudgetExceededError(budget, states, what)
+    return states
 
 
 class DisconnectedGraphError(InglenookError):
@@ -406,24 +416,21 @@ def _next_level(moves: _MoveTable, frontier, seen: set[int]) -> list[int]:
     return nxt
 
 
-def _first_child(moves, state, layer):
-    """The first child of `state`, in the table order of `moves` (a
-    `_MoveTable` over codes or a `_RankMoves` over (mask, rank) states),
-    that lies in `layer`."""
-    for child in moves.children(state):
-        if child in layer:
-            return child
-    raise InternalCheckError("shortest-path layers must link every step")
-
-
-def _first_path_end(moves, first, layers):
-    """Where the path from `first` ends that takes, at every step, the
-    first move in table order into the next of the shortest-path `layers`:
-    the end a forward level-order search from `first` reaches first."""
-    hit = first
+def _first_path(moves, first, layers) -> list:
+    """The path from `first` that takes, at every step, the first move in
+    the table order of `moves` (a `_MoveTable` over codes or a `_RankMoves`
+    over (mask, rank) states) into the next of the shortest-path `layers`;
+    its end is the one a forward level-order search from `first` reaches
+    first."""
+    path = [first]
     for layer in layers[1:]:
-        hit = _first_child(moves, hit, layer)
-    return hit
+        for child in moves.children(path[-1]):
+            if child in layer:
+                path.append(child)
+                break
+        else:
+            raise InternalCheckError("shortest-path layers must link every step")
+    return path
 
 
 class _RankMoves(dict):
@@ -681,18 +688,14 @@ def _reconstruct(spec: PuzzleSpec, levels, end: int, distance: int):
     one on a shortest path to `end`.  Each move is read off the siding and
     the headshunt whose lengths change between two neighbours."""
     codec = position_codec(spec)
-    back = _shunt_moves(spec, pushes_first=True)
-    code, cur = end, codec.decode(end)
-    moves: list[ShuntMove] = []
-    for depth in range(distance, 0, -1):
-        code = _first_child(back, code, levels[depth - 1])
-        pred = codec.decode(code)
+    back = _first_path(_shunt_moves(spec, pushes_first=True), end, levels[distance::-1])
+    path = [codec.decode(code) for code in reversed(back)]
+    moves = []
+    for pred, cur in zip(path, path[1:]):
         siding = next(r for r in range(1, spec.s + 1) if len(pred[r]) != len(cur[r]))
         gain = len(cur[0]) - len(pred[0])
         moves.append(ShuntMove(siding, PULL if gain > 0 else PUSH, abs(gain)))
-        cur = pred
-    moves.reverse()
-    return moves, Position(cur)
+    return moves, Position(path[0])
 
 
 @dataclass
@@ -720,9 +723,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     """Exact shortest solution from start to any position matching goal, by
     `_shortest_layers`; an unreachable goal gives a report, not an error."""
     validate_position(spec, start)
-    total = count_positions(spec)
-    if total > budget:
-        raise BudgetExceededError(budget, total, "optimal search")
+    _within_budget(budget, count_positions(spec), "optimal search")
     codec = position_codec(spec)
     moves = _shunt_moves(spec)
     first = codec.encode(start.tracks)
@@ -731,7 +732,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     )
     if layers is None:
         return SearchReport(None, None, explored)
-    hit = _first_path_end(moves, first, layers)
+    hit = _first_path(moves, first, layers)[-1]
     distance = len(layers) - 1
     trace_moves, origin = _reconstruct(spec, layers, hit, distance)
     if origin != start:
@@ -763,9 +764,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     rebuilt from the start matches of that level back through the recorded
     levels to the sources, and walked forward from the first source on it.
     """
-    total = count_positions(spec)
-    if total > budget:
-        raise BudgetExceededError(budget, total, "worst-case sweep")
+    total = _within_budget(budget, count_positions(spec), "worst-case sweep")
     smatch = _compile_match(spec, start_pattern)
     goals = matching_codes(spec, goal, "the goal pattern")
     if next(_iter_matching_codes(spec, start_pattern), None) is None:
@@ -789,7 +788,9 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         if ends:
             break
     else:
-        # level 0 lists the goal's matches themselves, in order
+        # Level 0 is the goals in order: the first match is the witness the
+        # path below would find, without listing and decoding every level-0
+        # state (2,136,960 for a goal of `*` on the classic plan).
         return WorstCaseReport(0, Position(codec.decode(next(filter(smatch, goals)))), explored)
     layers: list = [None] * (d + 1)
     layers[d] = ends
@@ -797,7 +798,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         layers[j - 1] = {(occ, rank) for state in layers[j]
                          for occ, rank in ranks.children(state) if depth[occ][rank] == j}
     first = next(state for state in map(ranks.state, goals) if state in layers[0])
-    end = _first_path_end(ranks, first, layers)
+    end = _first_path(ranks, first, layers)[-1]
     return WorstCaseReport(d, Position(codec.decode(ranks.code(*end))), explored)
 
 
@@ -812,9 +813,7 @@ class CensusReport:
 
 def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Count connected components of the card-pile graph exhaustively."""
-    total = count_states(spec)
-    if total > budget:
-        raise BudgetExceededError(budget, total, "component census")
+    total = _within_budget(budget, count_states(spec), "component census")
     ranks = _RankMoves(_card_moves(spec), spec.w)
     depth = _depth_map(ranks)
     sizes = []
@@ -832,9 +831,7 @@ def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
     """Exact move distance between two card states, None if unreachable."""
     validate_state(spec, start)
     validate_state(spec, goal)
-    total = count_states(spec)
-    if total > budget:
-        raise BudgetExceededError(budget, total, "card distance search")
+    _within_budget(budget, count_states(spec), "card distance search")
     codec = state_codec(spec)
     dst = codec.encode(goal.piles)
     layers, _explored = _shortest_layers(
@@ -856,8 +853,7 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     """
     total = count_states(spec)
     shapes = _compositions(spec.m, spec.w)
-    if shapes * total > budget:
-        raise BudgetExceededError(budget, shapes * total, "all-sources diameter")
+    _within_budget(budget, shapes * total, "all-sources diameter")
 
     ranks = _RankMoves(_card_moves(spec), spec.w)
     diameter = 0

@@ -308,6 +308,33 @@ def test_verify_checks_embedded_positions(tmp_path):
     assert "does not match" in err
 
 
+VERIFY_PLAN = ("--wagons", "3", "--headshunt", "2", "--sidings", "2 2 1",
+               "--start", "H:[]|S1:[1,2]|S2:[3]|S3:[]")
+
+
+def test_verify_checks_a_position_after_moves_against_the_replayed_state():
+    code, out, err = run_cli("verify", *VERIFY_PLAN,
+                             "--moves", "PULL 1 S1\nH:[]|S1:[1,2]|S2:[3]|S3:[]")
+    assert (code, out) == (1, "")
+    assert err == ("error: illegal move at line 2: 'H:[]|S1:[1,2]|S2:[3]|S3:[]': "
+                   "embedded position does not match the replayed state\n")
+
+
+def test_verify_accepts_a_finish_line_without_a_start_line():
+    code, out, err = run_cli("verify", *VERIFY_PLAN,
+                             "--moves", "PULL 1 S1\nH:[1]|S1:[2]|S2:[3]|S3:[]")
+    assert (code, out, err) == (0, "moves = 1\nH:[1]|S1:[2]|S2:[3]|S3:[]\n", "")
+
+
+def test_verify_names_the_line_of_a_malformed_position():
+    code, out, err = run_cli(
+        "verify", *VERIFY_PLAN,
+        "--moves", "H:[]|S1:[1,2]|S2:[3]|S3:[]\nPULL 1 S1\nH:[1,2]|S1:[]|S2:[3]",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: expected 4 tracks separated by '|', got 3 (line 3)\n"
+
+
 def test_verify_fixture_move_lists_land_on_published_finishes(fixtures_dir):
     for stem, count in (("solution17", 17), ("solution18", 18), ("solution20", 20)):
         code, out, _ = run_cli(

@@ -184,6 +184,45 @@ def test_anchor_never_moves_after_seating():
         assert state.piles[0][:1] == (2,)
 
 
+@pytest.mark.parametrize("spec, start, goal, moves", [
+    # three borrowed goal cards, put back last-in first-out as the last
+    # three moves: 2 -> 3, then 1 -> 2, then 0 -> 2
+    (CardsSpec(5, (3, 2, 3, 2)), ((5,), (1, 2), (), (3, 4)), ((4,), (), (5, 3), (2, 1)),
+     [(3, 0), (0, 2), (2, 3), (0, 2), (3, 0), (3, 0), (1, 0), (2, 1), (1, 2), (1, 3),
+      (2, 1), (3, 2), (0, 3), (2, 3), (1, 2), (0, 2)]),
+    # three seatings leave every pile one card wide
+    (CardsSpec(5, (2, 1, 2, 2)), ((1, 3), (), (4, 5), (2,)), ((4, 1), (3,), (5,), (2,)),
+     [(0, 1), (2, 3), (2, 0), (1, 2), (0, 1), (1, 2), (0, 1), (2, 0), (3, 2), (2, 0),
+      (0, 3), (2, 0), (3, 2), (0, 2), (1, 0), (2, 1)]),
+    # four seatings leave one card to move
+    (CardsSpec(5, (2, 3, 3)), ((4, 5), (2, 3), (1,)), ((4,), (3, 1), (5, 2)),
+     [(0, 2), (1, 0), (0, 2), (1, 0), (2, 1), (2, 1), (2, 1), (0, 2), (1, 0), (1, 2),
+      (0, 1), (2, 0), (0, 1), (2, 0), (1, 2), (0, 2)]),
+])
+def test_solve_cards_pinned_moves(spec, start, goal, moves):
+    trace = solve_cards(spec, CardsState(start), CardsState(goal))
+    assert [(mv.source, mv.dest) for mv in trace.moves] == moves
+
+
+def test_solve_cards_stack_depth_does_not_grow_with_the_cards():
+    # reversing 80 cards seats 80 anchors; a frame per anchor would pass
+    # a recursion limit 40 frames above the caller
+    spec = CardsSpec(80, (80, 80, 1))
+    start = CardsState((tuple(range(1, 81)), (), ()))
+    goal = CardsState((tuple(range(80, 0, -1)), (), ()))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        trace = solve_cards(spec, start, goal)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert trace.length <= cards_move_bound(80)
+    assert replay_cards(spec, start, trace.moves)[-1] == goal
+
+
 def test_solve_inglenook_identity_even_when_blocked():
     p = parse_position(CLASSIC, "H:[1,6,4]|S1:[]|S2:[7,8]|S3:[2,3,5]")
     assert solve_inglenook(CLASSIC, p, p).moves == ()
