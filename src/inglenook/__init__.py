@@ -20,6 +20,7 @@ from .model import (
     Position,
     PuzzleSpec,
     ShuntMove,
+    SolutionTrace,
     apply_move,
     cards_spec,
     count_positions,
@@ -44,8 +45,6 @@ from .feasibility import (
 )
 from .constructive import (
     CardMove,
-    SolutionTrace,
-    UnsatisfiablePatternError,
     apply_card_move,
     cards_move_bound,
     inglenook_move_bound,
@@ -61,6 +60,7 @@ from .search import (
     GoalPattern,
     SearchReport,
     TrackRule,
+    UnsatisfiablePatternError,
     WorstCaseReport,
     cards_component_census,
     cards_diameter,

@@ -15,7 +15,6 @@ import random
 import sys
 
 from . import constructive, feasibility, model, search
-from .constructive import UnsatisfiablePatternError
 from .model import FormatError, IllegalMoveError, InglenookError, InternalCheckError, LabelTable
 from .search import BudgetExceededError, DisconnectedGraphError, GoalPattern
 
@@ -27,9 +26,7 @@ EXIT_INTERNAL = 4
 
 
 class ReplayFailure(InglenookError):
-    def __init__(self, lineno: int, text: str, reason: str):
-        self.lineno = lineno
-        super().__init__(f"illegal move at line {lineno}: {text!r}: {reason}")
+    """An illegal move, or a position line that is not the replayed state."""
 
 
 def _read_source(value: str) -> str:
@@ -190,15 +187,14 @@ def cmd_verify(args) -> int:
     for lineno, (kind, value) in _iter_move_lines(spec, text, labels):
         if kind == "position":
             if value != current:
-                raise ReplayFailure(
-                    lineno, model.format_position(value, labels),
-                    "embedded position does not match the replayed state",
-                )
+                raise ReplayFailure(f"position at line {lineno} does not match the replayed "
+                                    f"state: {model.format_position(value, labels)!r}")
             continue
         try:
             current = model.apply_move(spec, current, value)
         except IllegalMoveError as exc:
-            raise ReplayFailure(lineno, model.format_move(value), str(exc)) from None
+            raise ReplayFailure(f"illegal move at line {lineno}: "
+                                f"{model.format_move(value)!r}: {exc}") from None
         count += 1
     print(f"moves = {count}")
     print(model.format_position(current, labels))
@@ -269,7 +265,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (FormatError, model.InvalidSpecError, model.InvalidPositionError,
-            model.InvalidStateError, UnsatisfiablePatternError) as exc:
+            model.InvalidStateError, search.UnsatisfiablePatternError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (feasibility.UnsolvableError, DisconnectedGraphError, ReplayFailure,

@@ -6,6 +6,8 @@ pass leaves a smaller instance on the same piles.  Every trace stays within
 the quadratic bound w^2 + 6w - 6.  Inglenook solutions are obtained by
 translating card moves through the convertible-position correspondence, at
 most two shunt moves per card move, for a bound of 2w^2 + 12w - 10.
+Both traces are checked against their bound and replayed by
+`model._check_trace` before they are returned.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .model import (
     CardsSpec,
     CardsState,
     IllegalMoveError,
-    InglenookError,
     InternalCheckError,
     Position,
     PuzzleSpec,
     ShuntMove,
+    SolutionTrace,
+    _check_trace,
     apply_move,
     cards_spec,
     format_move,
@@ -35,15 +38,7 @@ from .model import (
     validate_position,
     validate_state,
 )
-
-
-class UnsatisfiablePatternError(InglenookError):
-    """No valid position matches the requested pattern."""
-
-    def __init__(self, message: str, conflicts: tuple[str, ...] = ()):
-        self.conflicts = conflicts
-        detail = "; ".join(conflicts)
-        super().__init__(f"{message}: {detail}" if detail else message)
+from .search import UnsatisfiablePatternError, _compile_match, matching_codes  # re-export
 
 
 @dataclass(frozen=True)
@@ -58,19 +53,6 @@ class CardMove:
             raise IllegalMoveError("card move must change pile")
 
 
-@dataclass(frozen=True)
-class SolutionTrace:
-    """A move sequence together with its endpoint states."""
-
-    start: object
-    finish: object
-    moves: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.moves)
-
-
 def cards_move_bound(w: int) -> int:
     """Worst-case card moves guaranteed by the constructive solver."""
     return w * w + 6 * w - 6
@@ -82,24 +64,27 @@ def inglenook_move_bound(w: int) -> int:
 
 
 def apply_card_move(spec: CardsSpec, st: CardsState, mv: CardMove) -> CardsState:
-    validate_state(spec, st)
-    if not 0 <= mv.source <= spec.s:
-        raise IllegalMoveError(f"no pile {mv.source}")
-    if not 0 <= mv.dest <= spec.s:
-        raise IllegalMoveError(f"no pile {mv.dest}")
-    if not st.piles[mv.source]:
-        raise IllegalMoveError(f"pile {mv.source} is empty")
-    if len(st.piles[mv.dest]) >= spec.m[mv.dest]:
-        raise IllegalMoveError(f"pile {mv.dest} is full")
-    piles = [list(p) for p in st.piles]
-    piles[mv.dest].append(piles[mv.source].pop())
-    return CardsState(tuple(tuple(p) for p in piles))
+    return replay_cards(spec, st, (mv,))[-1]
 
 
 def replay_cards(spec: CardsSpec, start: CardsState, moves) -> list[CardsState]:
+    """Apply card moves in order; returns every state visited, start
+    included.  The start is validated once, then each move only checks
+    its own legality, as `model.replay` does."""
+    validate_state(spec, start)
     path = [start]
     for mv in moves:
-        path.append(apply_card_move(spec, path[-1], mv))
+        piles = list(path[-1].piles)
+        for i in (mv.source, mv.dest):
+            if not 0 <= i <= spec.s:
+                raise IllegalMoveError(f"no pile {i}")
+        if not piles[mv.source]:
+            raise IllegalMoveError(f"pile {mv.source} is empty")
+        if len(piles[mv.dest]) >= spec.m[mv.dest]:
+            raise IllegalMoveError(f"pile {mv.dest} is full")
+        piles[mv.dest] += piles[mv.source][-1:]
+        piles[mv.source] = piles[mv.source][:-1]
+        path.append(CardsState(tuple(piles)))
     return path
 
 
@@ -122,9 +107,7 @@ def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> Solutio
         raise InternalCheckError(
             f"{trace.length} card moves exceed the bound {cards_move_bound(spec.w)}"
         )
-    if replay_cards(spec, start, trace.moves)[-1] != goal:
-        raise InternalCheckError("the card trace must replay to the goal")
-    return trace
+    return _check_trace(replay_cards, spec, trace, "card")
 
 
 def _cards_path(caps: list[int], cur: list[list[int]], goal: list[list[int]]) -> list[CardMove]:
@@ -324,9 +307,7 @@ def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> Soluti
         raise InternalCheckError(
             f"{trace.length} shunt moves exceed the bound {inglenook_move_bound(spec.w)}"
         )
-    if replay(spec, start, trace.moves)[-1] != goal:
-        raise InternalCheckError("the shunt trace must replay to the goal")
-    return trace
+    return _check_trace(replay, spec, trace, "shunt")
 
 
 def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrace:
@@ -335,8 +316,6 @@ def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrac
     A start that already matches yields the empty trace; otherwise the
     target is the matching position with the smallest code.
     """
-    from .search import _compile_match, matching_codes
-
     validate_position(spec, start)
     codec = position_codec(spec)
     if _compile_match(spec, pattern)(codec.encode(start.tracks)):

@@ -1,5 +1,6 @@
 """Core domain model: track layouts, positions, shunt moves, the card-pile
-reduction, packed integer codes, and the text formats shared by every tool."""
+reduction, packed integer codes, and the text formats shared by every tool.
+Every reported `SolutionTrace` is replayed by its move rule in `_check_trace`."""
 
 from __future__ import annotations
 
@@ -163,6 +164,30 @@ class CardsState:
         object.__setattr__(self, "piles", tuple(tuple(p) for p in self.piles))
 
 
+@dataclass(frozen=True)
+class SolutionTrace:
+    """A move sequence together with its endpoint states."""
+
+    start: object
+    finish: object
+    moves: tuple
+
+    @property
+    def length(self) -> int:
+        return len(self.moves)
+
+
+def _check_trace(replay_fn, spec, trace: SolutionTrace, what: str) -> SolutionTrace:
+    """Return trace if `replay_fn` takes its moves legally from start to finish."""
+    try:
+        end = replay_fn(spec, trace.start, trace.moves)[-1]
+    except IllegalMoveError as exc:
+        raise InternalCheckError(f"the {what} trace must replay: {exc}") from None
+    if end != trace.finish:
+        raise InternalCheckError(f"the {what} trace must replay to its finish")
+    return trace
+
+
 def validate_position(spec: PuzzleSpec, p: Position) -> None:
     """Raise InvalidPositionError naming the violated invariant, if any."""
     if len(p.tracks) != spec.s + 1:
@@ -201,47 +226,46 @@ def validate_state(spec: CardsSpec, st: CardsState) -> None:
 
 def apply_move(spec: PuzzleSpec, p: Position, mv: ShuntMove) -> Position:
     """Apply mv to p; the transferred block keeps its order across the points."""
-    validate_position(spec, p)
-    if not 1 <= mv.siding <= spec.s:
-        raise IllegalMoveError(f"no siding {mv.siding} (spec has {spec.s})")
-    if mv.count < 1:
-        raise IllegalMoveError(f"move count must be positive, got {mv.count}")
-    head = p.headshunt
-    side = p.tracks[mv.siding]
-    if mv.direction == PULL:
-        if mv.count > len(side):
-            raise IllegalMoveError(
-                f"cannot pull {mv.count} wagons, siding {mv.siding} holds {len(side)}"
-            )
-        if mv.count > spec.h - len(head):
-            raise IllegalMoveError(
-                f"cannot pull {mv.count} wagons, headshunt has {spec.h - len(head)} free"
-            )
-        new_head = head + side[: mv.count]
-        new_side = side[mv.count :]
-    else:
-        if mv.count > len(head):
-            raise IllegalMoveError(
-                f"cannot push {mv.count} wagons, headshunt holds {len(head)}"
-            )
-        if mv.count > spec.m[mv.siding - 1] - len(side):
-            raise IllegalMoveError(
-                f"cannot push {mv.count} wagons, siding {mv.siding} has "
-                f"{spec.m[mv.siding - 1] - len(side)} free"
-            )
-        new_head = head[: -mv.count]
-        new_side = head[-mv.count :] + side
-    tracks = list(p.tracks)
-    tracks[0] = new_head
-    tracks[mv.siding] = new_side
-    return Position(tuple(tracks))
+    return replay(spec, p, (mv,))[-1]
 
 
 def replay(spec: PuzzleSpec, start: Position, moves) -> list[Position]:
-    """Apply moves in order; returns every position visited, start included."""
+    """Apply moves in order; returns every position visited, start included.
+    The start is validated once, then each move's legality, which keeps it valid."""
+    validate_position(spec, start)
     path = [start]
     for mv in moves:
-        path.append(apply_move(spec, path[-1], mv))
+        if not 1 <= mv.siding <= spec.s:
+            raise IllegalMoveError(f"no siding {mv.siding} (spec has {spec.s})")
+        if mv.count < 1:
+            raise IllegalMoveError(f"move count must be positive, got {mv.count}")
+        tracks = list(path[-1].tracks)
+        head = tracks[0]
+        side = tracks[mv.siding]
+        if mv.direction == PULL:
+            if mv.count > len(side):
+                raise IllegalMoveError(
+                    f"cannot pull {mv.count} wagons, siding {mv.siding} holds {len(side)}"
+                )
+            if mv.count > spec.h - len(head):
+                raise IllegalMoveError(
+                    f"cannot pull {mv.count} wagons, headshunt has {spec.h - len(head)} free"
+                )
+            tracks[0] = head + side[: mv.count]
+            tracks[mv.siding] = side[mv.count :]
+        else:
+            if mv.count > len(head):
+                raise IllegalMoveError(
+                    f"cannot push {mv.count} wagons, headshunt holds {len(head)}"
+                )
+            if mv.count > spec.m[mv.siding - 1] - len(side):
+                raise IllegalMoveError(
+                    f"cannot push {mv.count} wagons, siding {mv.siding} has "
+                    f"{spec.m[mv.siding - 1] - len(side)} free"
+                )
+            tracks[0] = head[: -mv.count]
+            tracks[mv.siding] = head[-mv.count :] + side
+        path.append(Position(tuple(tracks)))
     return path
 
 
@@ -286,9 +310,7 @@ def from_cards(spec: PuzzleSpec, c: CardsState) -> Position:
         tracks = [c.piles[0]] + [tuple(reversed(pile)) for pile in c.piles[1:]]
     else:
         tracks = [()] + [tuple(reversed(pile)) for pile in c.piles]
-    p = Position(tuple(tracks))
-    validate_position(spec, p)
-    return p
+    return Position(tuple(tracks))
 
 
 class SlotCodec:

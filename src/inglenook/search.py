@@ -40,20 +40,20 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .constructive import SolutionTrace, UnsatisfiablePatternError
 from .model import (
     PULL,
     PUSH,
     CardsSpec,
     CardsState,
     FormatError,
-    IllegalMoveError,
     InglenookError,
     InternalCheckError,
     LabelTable,
     Position,
     PuzzleSpec,
     ShuntMove,
+    SolutionTrace,
+    _check_trace,
     _compositions,
     count_positions,
     count_states,
@@ -73,6 +73,15 @@ EMPTY = "empty"
 ANY = "any"
 
 _CLAUSE_RE = re.compile(r"^(H|S(\d+))\s*(=|~)\s*(.+)$")
+
+
+class UnsatisfiablePatternError(InglenookError):
+    """No valid position matches the requested pattern."""
+
+    def __init__(self, message: str, conflicts: tuple[str, ...] = ()):
+        self.conflicts = conflicts
+        detail = "; ".join(conflicts)
+        super().__init__(f"{message}: {detail}" if detail else message)
 
 
 class BudgetExceededError(InglenookError):
@@ -737,15 +746,9 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     trace_moves, origin = _reconstruct(spec, layers, hit, distance)
     if origin != start:
         raise InternalCheckError("the optimal trace must lead back to the start")
-    finish = Position(codec.decode(hit))
+    trace = SolutionTrace(start, Position(codec.decode(hit)), tuple(trace_moves))
     # the moves are read off code pairs, so replay them by the move rule
-    try:
-        replayed = replay(spec, start, trace_moves)[-1]
-    except IllegalMoveError as exc:
-        raise InternalCheckError(f"the optimal trace must replay: {exc}") from None
-    if replayed != finish:
-        raise InternalCheckError("the optimal trace must replay to its finish")
-    return SearchReport(distance, SolutionTrace(start, finish, tuple(trace_moves)), explored)
+    return SearchReport(distance, _check_trace(replay, spec, trace, "optimal"), explored)
 
 
 def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern, *,

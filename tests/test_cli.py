@@ -166,6 +166,35 @@ def test_trace_that_does_not_replay_exits_four(tmp_path, monkeypatch, wrong):
     assert err.startswith("error: the optimal trace must replay")
 
 
+@pytest.mark.parametrize("wrong", ["truncated", "illegal"])
+def test_solve_trace_that_does_not_replay_exits_four(tmp_path, monkeypatch, wrong):
+    from inglenook import PUSH, ShuntMove, constructive
+
+    lift = constructive._lift_card_move
+    lifted = []
+
+    def wrong_lift(spec, mv):
+        lifted.append(mv)
+        if wrong == "truncated":
+            return []
+        head = [ShuntMove(1, PUSH, 1)] if len(lifted) == 1 else []  # the headshunt starts empty
+        return head + lift(spec, mv)
+
+    monkeypatch.setattr(constructive, "_lift_card_move", wrong_lift)
+    spec = write(tmp_path, "s.spec", SMALL_SPEC)
+    code, out, err = run_cli(
+        "solve", "--spec", spec, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[]",
+        "--goal", "S1 = [2,1]",
+    )
+    assert lifted
+    assert (code, out) == (4, "")
+    if wrong == "truncated":
+        assert err == "error: the shunt trace must replay to its finish\n"
+    else:
+        assert err == ("error: the shunt trace must replay: "
+                       "cannot push 1 wagons, headshunt holds 0\n")
+
+
 @pytest.mark.parametrize("n", [17, 18, 20])
 def test_optimal_prints_the_published_traces(fixtures_dir, n):
     code, out, err = run_cli(
@@ -316,8 +345,8 @@ def test_verify_checks_a_position_after_moves_against_the_replayed_state():
     code, out, err = run_cli("verify", *VERIFY_PLAN,
                              "--moves", "PULL 1 S1\nH:[]|S1:[1,2]|S2:[3]|S3:[]")
     assert (code, out) == (1, "")
-    assert err == ("error: illegal move at line 2: 'H:[]|S1:[1,2]|S2:[3]|S3:[]': "
-                   "embedded position does not match the replayed state\n")
+    assert err == ("error: position at line 2 does not match the replayed state: "
+                   "'H:[]|S1:[1,2]|S2:[3]|S3:[]'\n")
 
 
 def test_verify_accepts_a_finish_line_without_a_start_line():

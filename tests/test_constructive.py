@@ -19,6 +19,8 @@ from inglenook import (
     CardMove,
     CardsSpec,
     CardsState,
+    InternalCheckError,
+    InvalidStateError,
     Position,
     PuzzleSpec,
     UnsatisfiablePatternError,
@@ -37,6 +39,7 @@ from inglenook import (
     solve_to_pattern,
     to_cards,
 )
+from inglenook import constructive
 from inglenook.constructive import format_card_move, format_move_list, format_trace
 from inglenook.model import position_codec
 from inglenook.search import GoalPattern, parse_pattern
@@ -358,13 +361,13 @@ def test_solve_to_pattern_unsatisfiable_reports_conflicts():
         solve_to_pattern(CLASSIC, start, pattern)
 
 
-def test_constructive_checks_survive_python_O():
+def _refused_under_python_O(path: str) -> None:
     # `python -O` strips assert statements; a wrong card path must still be
     # refused by solve_cards' replay check
     script = (
         "from inglenook import CardsSpec, CardsState, constructive\n"
         "assert False, 'assert statements must be stripped'\n"
-        "constructive._cards_path = lambda caps, cur, goal: []\n"
+        f"constructive._cards_path = lambda caps, cur, goal: {path}\n"
         "try:\n"
         "    constructive.solve_cards(CardsSpec(3, (2, 2, 1)),\n"
         "                             CardsState(((1, 2), (3,), ())),\n"
@@ -378,6 +381,34 @@ def test_constructive_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
+
+
+def test_constructive_checks_survive_python_O():
+    _refused_under_python_O("[]")  # stops short of the goal
+
+
+def test_constructive_checks_survive_python_O_on_an_illegal_move():
+    _refused_under_python_O("[constructive.CardMove(2, 0)]")  # pile 2 is empty
+
+
+def test_replay_cards_refuses_an_invalid_start_even_with_no_moves():
+    spec = CardsSpec(3, (2, 2, 1))
+    with pytest.raises(InvalidStateError, match="exactly once"):
+        replay_cards(spec, CardsState(((1, 2), (2,), ())), [])
+
+
+def test_apply_card_move_still_refuses_an_invalid_state():
+    spec = CardsSpec(3, (2, 2, 1))
+    with pytest.raises(InvalidStateError, match="pile 2 holds 2 cards"):
+        apply_card_move(spec, CardsState(((1,), (), (2, 3))), CardMove(2, 0))
+
+
+def test_solve_cards_reports_an_illegal_card_path_as_an_internal_error(monkeypatch):
+    monkeypatch.setattr(constructive, "_cards_path", lambda caps, cur, goal: [CardMove(2, 0)])
+    spec = CardsSpec(3, (2, 2, 1))
+    with pytest.raises(InternalCheckError,
+                       match="^the card trace must replay: pile 2 is empty$"):
+        solve_cards(spec, CardsState(((1, 2), (3,), ())), CardsState(((2, 1), (3,), ())))
 
 
 def test_card_move_formatting():

@@ -27,6 +27,7 @@ from inglenook import (
     replay,
     to_cards,
 )
+from inglenook import model
 from inglenook.model import (
     LabelTable,
     format_move,
@@ -234,6 +235,35 @@ def test_replay_runs_every_intermediate_check():
     assert format_position(path[-1]) == "H:[1,6,4]|S1:[]|S2:[7,8]|S3:[2,3,5]"
     with pytest.raises(IllegalMoveError):
         replay(CLASSIC, p, [ShuntMove(3, PULL, 2), ShuntMove(3, PUSH, 3)])
+
+
+def test_replay_refuses_an_invalid_start_even_with_no_moves():
+    # wagon 8 is missing and wagon 1 appears twice
+    bad = Position(((), (), (4, 7, 1), (1, 6, 2, 3, 5)))
+    with pytest.raises(InvalidPositionError, match="exactly once"):
+        replay(CLASSIC, bad, [])
+
+
+def test_replay_validates_its_start_once(monkeypatch):
+    p = parse_position(CLASSIC, "H:[]|S1:[]|S2:[4,7,8]|S3:[1,6,2,3,5]")
+    calls = []
+    validate = model.validate_position
+
+    def counting(spec, q):
+        calls.append(q)
+        validate(spec, q)
+
+    monkeypatch.setattr(model, "validate_position", counting)
+    moves = [ShuntMove(3, PULL, 2), ShuntMove(1, PUSH, 1), ShuntMove(2, PULL, 1)]
+    path = replay(CLASSIC, p, moves)
+    assert format_position(path[-1]) == "H:[1,4]|S1:[6]|S2:[7,8]|S3:[2,3,5]"
+    assert calls == [p]
+
+
+def test_apply_move_still_refuses_an_invalid_position():
+    over = Position(((1, 2, 3, 4), (), (5, 6, 7), (8,)))  # headshunt over capacity 3
+    with pytest.raises(InvalidPositionError, match="headshunt holds 4"):
+        apply_move(CLASSIC, over, ShuntMove(3, PULL, 1))
 
 
 def test_count_positions_classic():
