@@ -27,13 +27,13 @@ from .model import (
     ShuntMove,
     SolutionTrace,
     _check_trace,
+    _replay_steps,
     apply_move,
     cards_spec,
     format_move,
     format_position,
     is_convertible,
     position_codec,
-    replay,
     to_cards,
     validate_position,
     validate_state,
@@ -71,10 +71,15 @@ def replay_cards(spec: CardsSpec, start: CardsState, moves) -> list[CardsState]:
     """Apply card moves in order; returns every state visited, start
     included.  The start is validated once, then each move only checks
     its own legality, as `model.replay` does."""
-    validate_state(spec, start)
-    path = [start]
+    return list(_replay_card_steps(spec, start, moves))
+
+
+def _replay_card_steps(spec: CardsSpec, cur: CardsState, moves):
+    """Yield the states of `replay_cards` one at a time."""
+    validate_state(spec, cur)
+    yield cur
     for mv in moves:
-        piles = list(path[-1].piles)
+        piles = list(cur.piles)
         for i in (mv.source, mv.dest):
             if not 0 <= i <= spec.s:
                 raise IllegalMoveError(f"no pile {i}")
@@ -84,8 +89,8 @@ def replay_cards(spec: CardsSpec, start: CardsState, moves) -> list[CardsState]:
             raise IllegalMoveError(f"pile {mv.dest} is full")
         piles[mv.dest] += piles[mv.source][-1:]
         piles[mv.source] = piles[mv.source][:-1]
-        path.append(CardsState(tuple(piles)))
-    return path
+        cur = CardsState(tuple(piles))
+        yield cur
 
 
 def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> SolutionTrace:
@@ -107,7 +112,7 @@ def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> Solutio
         raise InternalCheckError(
             f"{trace.length} card moves exceed the bound {cards_move_bound(spec.w)}"
         )
-    return _check_trace(replay_cards, spec, trace, "card")
+    return _check_trace(_replay_card_steps, spec, trace, "card")
 
 
 def _cards_path(caps: list[int], cur: list[list[int]], goal: list[list[int]]) -> list[CardMove]:
@@ -307,7 +312,7 @@ def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> Soluti
         raise InternalCheckError(
             f"{trace.length} shunt moves exceed the bound {inglenook_move_bound(spec.w)}"
         )
-    return _check_trace(replay, spec, trace, "shunt")
+    return _check_trace(_replay_steps, spec, trace, "shunt")
 
 
 def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrace:

@@ -4,6 +4,7 @@ Every reported `SolutionTrace` is replayed by its move rule in `_check_trace`.""
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -177,10 +178,10 @@ class SolutionTrace:
         return len(self.moves)
 
 
-def _check_trace(replay_fn, spec, trace: SolutionTrace, what: str) -> SolutionTrace:
-    """Return trace if `replay_fn` takes its moves legally from start to finish."""
+def _check_trace(steps_fn, spec, trace: SolutionTrace, what: str) -> SolutionTrace:
+    """Return trace if `steps_fn` (`_replay_steps`, say) replays it legally to its finish."""
     try:
-        end = replay_fn(spec, trace.start, trace.moves)[-1]
+        end = collections.deque(steps_fn(spec, trace.start, trace.moves), maxlen=1).pop()
     except IllegalMoveError as exc:
         raise InternalCheckError(f"the {what} trace must replay: {exc}") from None
     if end != trace.finish:
@@ -232,14 +233,19 @@ def apply_move(spec: PuzzleSpec, p: Position, mv: ShuntMove) -> Position:
 def replay(spec: PuzzleSpec, start: Position, moves) -> list[Position]:
     """Apply moves in order; returns every position visited, start included.
     The start is validated once, then each move's legality, which keeps it valid."""
-    validate_position(spec, start)
-    path = [start]
+    return list(_replay_steps(spec, start, moves))
+
+
+def _replay_steps(spec: PuzzleSpec, cur: Position, moves):
+    """Yield the positions of `replay` one at a time."""
+    validate_position(spec, cur)
+    yield cur
     for mv in moves:
         if not 1 <= mv.siding <= spec.s:
             raise IllegalMoveError(f"no siding {mv.siding} (spec has {spec.s})")
         if mv.count < 1:
             raise IllegalMoveError(f"move count must be positive, got {mv.count}")
-        tracks = list(path[-1].tracks)
+        tracks = list(cur.tracks)
         head = tracks[0]
         side = tracks[mv.siding]
         if mv.direction == PULL:
@@ -265,8 +271,8 @@ def replay(spec: PuzzleSpec, start: Position, moves) -> list[Position]:
                 )
             tracks[0] = head[: -mv.count]
             tracks[mv.siding] = head[-mv.count :] + side
-        path.append(Position(tuple(tracks)))
-    return path
+        cur = Position(tuple(tracks))
+        yield cur
 
 
 def is_convertible(spec: PuzzleSpec, p: Position) -> bool:

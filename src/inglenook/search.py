@@ -2,34 +2,32 @@
 counts, component censuses, and exact diameters at desk scale.
 
 Both move rules, a block of wagons between the headshunt and one siding and
-one card between two piles, are one kind of move table, `_MoveTable`: keyed
-by the occupancy mask of an integer-packed code (see model.SlotCodec), which
-fixes every track's length, it lists that composition's moves as bit
-relocations in a fixed order.  Reported distances, exploration counts,
-witnesses and tie-broken traces follow from that order, so they are
-reproducible bit-for-bit.  Shortest paths run on codes: `_next_level` grows
-a level of codes, and `_shortest_layers` grows a start and a goal side until
-they meet, for `optimal_solve` and `cards_distance`.  One walker,
-`_first_path`, builds every reported path by the first move in table order
-into each next shortest-path layer: the optimal trace walks from the start
-to the finish a forward search alone would hit, then back over the reversed
-layers on the pushes-first table, which takes the first forward move in
-(siding, pull before push, count) order; `worst` walks from the first goal
-on a deepest path to its witness.  Full sweeps (`worst`, the census, the
-diameter) run `_bfs_levels` on `_RankMoves`, the same moves on (occupancy
-mask, label-order rank) states, where a move of a composition is one list of
-w! ranks: a whole level moves by list lookups, and a sweep keeps three
-levels and a 16-bit depth per state, not a set of every state.  An exact
-card-pile diameter takes one sweep per pile-size composition: renaming cards
-is a graph automorphism, so a state's eccentricity depends only on its pile
-sizes.  A goal pattern compiles once, by `_compile_match`, into a masked
-compare per alternative plus one set test per any-order track.  One
-enumerator, `_alternative_codes`, lists the codes an alternative allows
-straight from the codec's slot shifts, for `gen`, `solve` and `worst`.
-Budgets are checked once, up front, by `_within_budget`: each public search
-refuses before it starts when the states it could label, every position or
-card state (times the compositions, for the diameter), pass the budget, so
-the kernels take no budget.
+one card between two piles, are one kind of move table, `_MoveTable`.  It is
+keyed by the occupancy mask of an integer-packed code (see model.SlotCodec),
+which fixes every track's length, and lists that composition's moves in a
+fixed order, each as one `bytes.translate` table of the labels' places, so a
+move maps every state of a mask alike.  Reported distances, exploration
+counts, witnesses and tie-broken traces follow from that order, so they are
+reproducible bit-for-bit.  Shortest paths (`optimal_solve`,
+`cards_distance`) grow a start and a goal side until they meet, by
+`_shortest_layers`: a level maps each mask to the places of its states, and
+`_next_level` grows each (mask, move) bucket in one translate pass; goal
+tests, the goal family and the shortest-path layers stay on codes.  One
+walker, `_first_path`, builds every reported path by the first move in table
+order into each next shortest-path layer: the optimal trace walks from the
+start to the finish a forward search alone would hit, then back over the
+reversed layers on the pushes-first table, which takes the first forward
+move in (siding, pull before push, count) order; `worst` walks from the
+first goal on a deepest path to its witness.  Full sweeps (`worst`, the
+census, the diameter) run `_bfs_levels` on `_RankMoves`, the same tables on
+(mask, label-order rank) states, where a move is one list of w! ranks; a
+sweep keeps three levels and a 16-bit depth per state.  An exact card-pile
+diameter takes one sweep per pile-size composition: renaming cards is a
+graph automorphism.  A goal pattern compiles once, by `_compile_match`, into
+a masked compare per alternative plus one set test per any-order track, and
+one enumerator, `_alternative_codes`, lists the codes an alternative allows.
+Budgets are checked once, up front, by `_within_budget`, against every state
+a search could label, so the kernels take no budget.
 """
 
 from __future__ import annotations
@@ -54,12 +52,12 @@ from .model import (
     ShuntMove,
     SolutionTrace,
     _check_trace,
+    _replay_steps,
     _compositions,
     count_positions,
     count_states,
     from_cards,
     position_codec,
-    replay,
     state_codec,
     validate_position,
     validate_state,
@@ -336,61 +334,79 @@ def _track_lengths(caps, total: int):
 # --- breadth-first kernel ---------------------------------------------------
 
 class _MoveTable(dict):
-    """The moves of one move rule, keyed by a code's occupancy mask.
+    """The moves of one move rule on place states, keyed by occupancy mask.
 
-    `(((code & low) + low) | code) & high` sets the high bit of exactly the
-    non-zero slots, so the mask fixes every track's length.  A rule is the
-    ordered (source, destination) track pairs, which end of each track is
-    open (`front_open[i]` when its first slot is the open end, otherwise its
-    last occupied slot is), and the largest block that may move.  A block
-    keeps its order.  An entry, built on first use, lists the moves as
-    (keep, f1, m1, t1, f2, m2, t2); the child of `code` is
-        (code & keep) | (((code >> f1) & m1) << t1) | (((code >> f2) & m2) << t2)
-    where the first relocation moves the block and the second slides the
-    occupants of the front-open track, if the move touches one.  Moves come
+    A code's mask, `(((code & low) + low) | code) & high`, sets the high bit
+    of exactly the non-zero slots, so it fixes every track's length.  A
+    place state is (mask, places), where places[j-1] is the index of label
+    j's slot among the occupied slots in reading order (slot by slot, the
+    first track's first slot first); labels and places take a byte each,
+    as in a code's 8-bit slots, so w < 256.  A move sends the label at place i to
+    place t[i] whatever the labels, so an entry, built on first use, lists a
+    mask's moves as (child mask, t padded to a 256-byte `bytes.translate`
+    table).  A rule is the ordered (source, destination) track pairs, which
+    end of each track is open (`front_open` when its first slot is), and
+    the largest block that may move; a block keeps its order.  Moves come
     out by pair, then block size ascending.
     """
 
-    def __init__(self, codec, front_open: tuple[bool, ...], pairs, max_block: int):
+    def __init__(self, codec, w: int, front_open: tuple[bool, ...], pairs, max_block: int):
         super().__init__()
         self.codec = codec
+        self.w = w
         self.front_open = front_open
         self.pairs = tuple(pairs)
         self.max_block = max_block
-        self.full = (1 << codec.bits * codec.total_slots) - 1
-        ones = self.full // codec.slot_mask  # 1 in every slot
+        ones = ((1 << codec.bits * codec.total_slots) - 1) // codec.slot_mask  # 1 in every slot
         self.low = ones * (codec.slot_mask >> 1)
         self.high = ones << (codec.bits - 1)
+        self._labels, self._places = bytes(range(1, w + 1)), bytes(range(w))
+        self._gathers: dict[int, bytes] = {}
 
-    def _span(self, track: int, first: int, count: int) -> tuple[int, int]:
-        """(shift, mask) of `count` slots of track, from slot `first` on."""
-        codec = self.codec
-        shift = codec.low_shift[track] + codec.bits * (codec.caps[track] - first - count)
-        return shift, (1 << codec.bits * count) - 1
-
-    def __missing__(self, occ: int) -> list[tuple[int, ...]]:
-        codec, front, span = self.codec, self.front_open, self._span
+    def __missing__(self, occ: int) -> list[tuple[int, bytes]]:
+        codec, front, pad = self.codec, self.front_open, bytes(256 - self.w)
         lens = [((occ >> shift) & seg).bit_count()
                 for shift, seg in zip(codec.low_shift, codec.seg_mask)]
+        starts = list(itertools.accumulate(lens, initial=0))
         moves = []
         for src, dst in self.pairs:
-            ns, nd = lens[src], lens[dst]
-            for k in range(1, min(ns, codec.caps[dst] - nd, self.max_block) + 1):
-                f1, m1 = span(src, 0 if front[src] else ns - k, k)
-                t1 = span(dst, 0 if front[dst] else nd, k)[0]
-                f2 = m2 = t2 = 0
-                if front[src]:
-                    (f2, m2), t2 = span(src, k, ns - k), span(src, 0, ns - k)[0]
-                elif front[dst]:
-                    (f2, m2), t2 = span(dst, 0, nd), span(dst, k, nd)[0]
-                keep = self.full ^ (m1 << f1) ^ (m2 << f2)
-                moves.append((keep, f1, m1, t1, f2, m2, t2))
+            for k in range(1, min(lens[src], codec.caps[dst] - lens[dst], self.max_block) + 1):
+                tracks = [range(at, at + n) for at, n in zip(starts, lens)]
+                cut = k if front[src] else lens[src] - k
+                head, tail = tracks[src][:cut], tracks[src][cut:]
+                block, tracks[src] = (head, tail) if front[src] else (tail, head)
+                tracks[dst] = [*block, *tracks[dst]] if front[dst] else [*tracks[dst], *block]
+                t = bytearray(self.w)
+                for place, old in enumerate(itertools.chain(*tracks)):
+                    t[old] = place
+                moves.append((_mask(codec, map(len, tracks)), bytes(t) + pad))
         self[occ] = moves
         return moves
 
+    def _gather(self, occ: int) -> bytes:
+        """For each slot in reading order, its place among the occupied
+        slots of `occ`, or 255 when it is empty."""
+        gather = self._gathers.get(occ)
+        if gather is None:
+            places = itertools.count()
+            gather = self._gathers[occ] = bytes(next(places) if flag else 255 for flag in
+                                                occ.to_bytes(self.codec.total_slots, "big"))
+        return gather
+
+    def state(self, code: int) -> tuple[int, bytes]:
+        """The place state of `code`."""
+        occ = (((code & self.low) + self.low) | code) & self.high
+        labels = code.to_bytes(self.codec.total_slots, "big").replace(b"\0", b"")
+        return occ, self._labels.translate(bytes.maketrans(labels, self._places))
+
+    def code(self, occ: int, places: bytes) -> int:
+        table = bytes.maketrans(places + b"\xff", self._labels + b"\0")
+        return int.from_bytes(self._gather(occ).translate(table), "big")
+
     def children(self, code: int) -> list[int]:
         """The children of `code`, in table order."""
-        return _next_level(self, [code], set())
+        occ, places = self.state(code)
+        return [self.code(child, places.translate(t)) for child, t in self[occ]]
 
 
 def _shunt_moves(spec: PuzzleSpec, *, pushes_first: bool = False) -> _MoveTable:
@@ -400,29 +416,15 @@ def _shunt_moves(spec: PuzzleSpec, *, pushes_first: bool = False) -> _MoveTable:
     forward moves into it, since a push of k undoes a pull of k."""
     pairs = [pair for r in range(1, spec.s + 1)
              for pair in (((0, r), (r, 0)) if pushes_first else ((r, 0), (0, r)))]
-    return _MoveTable(position_codec(spec), (False,) + (True,) * spec.s, pairs, spec.w)
+    return _MoveTable(position_codec(spec), spec.w, (False,) + (True,) * spec.s, pairs, spec.w)
 
 
 def _card_moves(spec: CardsSpec) -> _MoveTable:
     """One card from the top of a pile to the top of another: source pile
     ascending, then destination ascending."""
     n = len(spec.m)
-    return _MoveTable(state_codec(spec), (False,) * n, itertools.permutations(range(n), 2), 1)
-
-
-def _next_level(moves: _MoveTable, frontier, seen: set[int]) -> list[int]:
-    """The codes one move from `frontier` that `seen` lacks, in move order:
-    by parent, then by the parent's moves in table order.  They are added
-    to `seen`."""
-    low, high = moves.low, moves.high
-    nxt = []
-    for code in frontier:
-        for keep, f1, m1, t1, f2, m2, t2 in moves[(((code & low) + low) | code) & high]:
-            child = (code & keep) | (((code >> f1) & m1) << t1) | (((code >> f2) & m2) << t2)
-            if child not in seen:
-                seen.add(child)
-                nxt.append(child)
-    return nxt
+    return _MoveTable(state_codec(spec), spec.w, (False,) * n,
+                      itertools.permutations(range(n), 2), 1)
 
 
 def _first_path(moves, first, layers) -> list:
@@ -443,64 +445,35 @@ def _first_path(moves, first, layers) -> list:
 
 
 class _RankMoves(dict):
-    """The moves of a `_MoveTable` on states written as (occupancy mask,
-    rank).  A state's places list, for labels 1..w in turn, the index of the
-    label's slot among the occupied slots in reading order (slot by slot,
-    the first track's first slot first); its rank is the lexicographic rank
-    of its places among the w! orders of 0..w-1.
-
-    A move sends the label at place j to place t[j] whatever the labels, so
-    it maps the places of every state alike, by `bytes.translate`, and is
-    one list `T` of w! ranks: T[rank] is the child's rank.  Moves with the
-    same t share a list, and a whole tuple of ranks moves with no arithmetic
-    per state.  An entry, keyed by occupancy mask and built on first use
-    from the move table's entries, lists (child mask, T) in table order.
-    The ranks are the int objects of `rank`, shared by every list and level.
+    """The moves of a `_MoveTable` on (mask, rank) states, where rank is
+    the lexicographic rank of the places among the w! orders of 0..w-1.  An
+    entry, built on first use from the move table's, lists (child mask, T)
+    in table order: T[rank] is the child's rank, so a whole tuple of ranks
+    moves with no arithmetic per state.  Moves with the same translate table
+    share T, and every T and level shares the int objects of `rank`.
     """
 
-    def __init__(self, moves: _MoveTable, w: int):
+    def __init__(self, moves: _MoveTable):
         super().__init__()
         self.moves = moves
-        self.w = w
-        self.places = list(map(bytes, itertools.permutations(range(w))))
-        self.rank = dict(zip(self.places, range(len(self.places))))
-        self.tables: dict[int, list[int]] = {}
-        self._slots: dict[int, list[int]] = {}
-
-    def slots(self, occ: int) -> list[int]:
-        """Shifts of the occupied slots of `occ`, in reading order."""
-        slots = self._slots.get(occ)
-        if slots is None:
-            codec = self.moves.codec
-            slots = self._slots[occ] = [
-                codec.bits * j for j in range(codec.total_slots - 1, -1, -1)
-                if occ >> (codec.bits * j + codec.bits - 1) & 1
-            ]
-        return slots
+        self.perms = list(map(bytes, itertools.permutations(range(moves.w))))
+        self.rank = dict(zip(self.perms, range(len(self.perms))))
+        self.tables: dict[bytes, list[int]] = {}
 
     def state(self, code: int) -> tuple[int, int]:
-        low, slot = self.moves.low, self.moves.codec.slot_mask
-        occ = (((code & low) + low) | code) & self.moves.high
-        places = bytearray(self.w)
-        for place, shift in enumerate(self.slots(occ)):
-            places[((code >> shift) & slot) - 1] = place
-        return occ, self.rank[bytes(places)]
+        occ, places = self.moves.state(code)
+        return occ, self.rank[places]
 
     def code(self, occ: int, rank: int) -> int:
-        slots = self.slots(occ)
-        return sum(label << slots[place] for label, place in enumerate(self.places[rank], 1))
+        return self.moves.code(occ, self.perms[rank])
 
     def __missing__(self, occ: int) -> list[tuple[int, list[int]]]:
-        # rank 0 puts label j+1 at place j, so a child's places are the t
-        # of the move that made it
         entry = []
-        for child in self.moves.children(self.code(occ, 0)):
-            child_occ, t = self.state(child)
+        for child, t in self.moves[occ]:
             if t not in self.tables:
-                moved = map(bytes.translate, self.places,
-                            itertools.repeat(self.places[t] + bytes(256 - self.w)))
+                moved = map(bytes.translate, self.perms, itertools.repeat(t))
                 self.tables[t] = list(map(self.rank.__getitem__, moved))
-            entry.append((child_occ, self.tables[t]))
+            entry.append((child, self.tables[t]))
         self[occ] = entry
         return entry
 
@@ -510,22 +483,26 @@ class _RankMoves(dict):
         return [(child, table[rank]) for child, table in self[occ]]
 
 
+def _mask(codec, lens) -> int:
+    """The occupancy mask of tracks holding `lens` labels."""
+    top = codec.bits - 1
+    return sum(1 << (shift + top)
+               for i, k in enumerate(lens) for shift in _leading_shifts(codec, i, k))
+
+
 def _occupancies(codec, w: int) -> list[int]:
     """The occupancy mask of every layout of w labels, in `_track_lengths`
     order."""
-    top = codec.bits - 1
-    return [sum(1 << (shift + top)
-                for i, k in enumerate(lens) for shift in _leading_shifts(codec, i, k))
-            for lens in _track_lengths(codec.caps, w)]
+    return [_mask(codec, lens) for lens in _track_lengths(codec.caps, w)]
 
 
 def _depth_map(ranks: _RankMoves) -> dict[int, memoryview]:
     """A zeroed 16-bit depth entry per state, w! entries per mask, each a
     view of a bytearray; `_bfs_levels` stores level + 1, so a sweep may run
     65,534 levels."""
-    n = len(ranks.places)
+    n = len(ranks.perms)
     return {occ: memoryview(bytearray(2 * n)).cast("H")
-            for occ in _occupancies(ranks.moves.codec, ranks.w)}
+            for occ in _occupancies(ranks.moves.codec, ranks.moves.w)}
 
 
 def _bfs_levels(ranks: _RankMoves, sources, depth: dict[int, memoryview]) -> list[int]:
@@ -590,6 +567,48 @@ def _level_states(depth: dict[int, memoryview], d: int):
             at = raw.find(key, at + 1)
 
 
+def _level(moves: _MoveTable, codes) -> dict[int, list[bytes]]:
+    """The place states of `codes`, as a level: places by mask."""
+    level: dict[int, list[bytes]] = {}
+    for occ, places in map(moves.state, codes):
+        level.setdefault(occ, []).append(places)
+    return level
+
+
+def _codes(moves: _MoveTable, level):
+    return (moves.code(occ, places) for occ, group in level.items() for places in group)
+
+
+def _sets(level) -> dict[int, set[bytes]]:
+    return {occ: set(group) for occ, group in level.items()}
+
+
+def _size(level) -> int:
+    return sum(map(len, level.values()))
+
+
+def _next_level(moves: _MoveTable, level, seen: dict, other: dict) -> tuple[dict, dict]:
+    """(nxt, meet): the place states one move from `level` that `seen`
+    lacks, added to `seen`, and those of them that `other` holds, by mask.
+    Each (mask, move) bucket grows whole, by a translate, a set difference
+    and an intersection.  Sets of bytes iterate in an order that follows the
+    hash seed, so nothing reported may depend on the order within a level.
+    """
+    nxt: dict[int, list[bytes]] = {}
+    meet: dict[int, set[bytes]] = {}
+    for occ, group in level.items():
+        for child, table in moves[occ]:
+            known = seen.setdefault(child, set())
+            grown = set(map(bytes.translate, group, itertools.repeat(table))).difference(known)
+            if grown:
+                known.update(grown)
+                nxt.setdefault(child, []).extend(grown)
+                hit = grown.intersection(other.get(child, ()))
+                if hit:
+                    meet.setdefault(child, set()).update(hit)
+    return nxt, meet
+
+
 def _shortest_layers(moves: _MoveTable, first: int, match, family):
     """(layers, explored): `layers[j]` holds the codes at distance j from
     `first` on a shortest path to a code that `match` accepts, and layers
@@ -608,45 +627,42 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
     is seeded, so it never passes the number of states.
     """
     goals: list[int] = []
-    fwd, fseen = [[first]], {first}
-    bwd: list[list[int]] = []
-    bseen: set[int] = set()
+    fwd, bwd = [_level(moves, [first])], []
+    fseen, bseen = _sets(fwd[0]), {}
     while True:
         if not bwd:
-            meet = [code for code in fwd[-1] if match(code)]
+            meet = _level(moves, filter(match, _codes(moves, fwd[-1])))
+            frontier = _size(fwd[-1])
+            if not meet and len(goals) <= frontier:
+                goals.extend(itertools.islice(family, frontier + 1 - len(goals)))
+            if meet or len(goals) <= frontier:  # a meeting, or the whole family
+                bwd.append(meet or _level(moves, goals))
+                bseen = _sets(bwd[0])
             if meet:
-                bwd.append(meet)
-                bseen.update(meet)
                 break
-            wanted = len(fwd[-1]) + 1 - len(goals)
-            if wanted > 0:
-                goals.extend(itertools.islice(family, wanted))
-                if len(goals) <= len(fwd[-1]):  # the family is exhausted
-                    bwd.append(goals)
-                    bseen.update(goals)
-        if not bwd or len(fwd[-1]) <= len(bwd[-1]):
+        if not bwd or _size(fwd[-1]) <= _size(bwd[-1]):
             levels, seen, other = fwd, fseen, bseen
         else:
             levels, seen, other = bwd, bseen, fseen
-        nxt = _next_level(moves, levels[-1], seen)
-        if not nxt:
-            return None, len(fseen) + len(bseen)
+        nxt, meet = _next_level(moves, levels[-1], seen, other)
         levels.append(nxt)
-        meet = [code for code in nxt if code in other]
-        if meet:
+        if meet or not nxt:
             break
+    explored = _size(fseen) + _size(bseen) - _size(meet)
+    if not meet:
+        return None, explored
 
-    # The meeting codes are the shortest-path codes at distance kf from the
-    # start; layers[j] holds those at distance j, found through the stored
-    # levels of the side that labelled them.
+    # The meeting states are the shortest-path states at distance kf from
+    # the start; layers[j] holds those at distance j, found through the
+    # stored levels of the side that labelled them.
     kf, d = len(fwd) - 1, len(fwd) + len(bwd) - 2
     layers: list = [None] * (d + 1)
-    layers[kf] = set(meet)
+    layers[kf] = meet
     for j in range(kf, 0, -1):
-        layers[j - 1] = set(_next_level(moves, layers[j], set())).intersection(fwd[j - 1])
+        layers[j - 1] = _next_level(moves, layers[j], {}, _sets(fwd[j - 1]))[1]
     for j in range(kf, d):
-        layers[j + 1] = set(_next_level(moves, layers[j], set())).intersection(bwd[d - j - 1])
-    return layers, len(fseen) + len(bseen) - len(meet)
+        layers[j + 1] = _next_level(moves, layers[j], {}, _sets(bwd[d - j - 1]))[1]
+    return [set(_codes(moves, layer)) for layer in layers], explored
 
 
 def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
@@ -748,7 +764,7 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
         raise InternalCheckError("the optimal trace must lead back to the start")
     trace = SolutionTrace(start, Position(codec.decode(hit)), tuple(trace_moves))
     # the moves are read off code pairs, so replay them by the move rule
-    return SearchReport(distance, _check_trace(replay, spec, trace, "optimal"), explored)
+    return SearchReport(distance, _check_trace(_replay_steps, spec, trace, "optimal"), explored)
 
 
 def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern, *,
@@ -773,7 +789,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     if next(_iter_matching_codes(spec, start_pattern), None) is None:
         raise _unsatisfiable(spec, start_pattern, "the start pattern")
     codec = position_codec(spec)
-    ranks = _RankMoves(_shunt_moves(spec), spec.w)
+    ranks = _RankMoves(_shunt_moves(spec))
     depth = _depth_map(ranks)
     sizes = _bfs_levels(ranks, map(ranks.state, goals), depth)
     explored = sum(sizes)
@@ -817,7 +833,7 @@ class CensusReport:
 def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Count connected components of the card-pile graph exhaustively."""
     total = _within_budget(budget, count_states(spec), "component census")
-    ranks = _RankMoves(_card_moves(spec), spec.w)
+    ranks = _RankMoves(_card_moves(spec))
     depth = _depth_map(ranks)
     sizes = []
     for occ, seen in depth.items():
@@ -835,11 +851,8 @@ def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
     validate_state(spec, start)
     validate_state(spec, goal)
     _within_budget(budget, count_states(spec), "card distance search")
-    codec = state_codec(spec)
-    dst = codec.encode(goal.piles)
-    layers, _explored = _shortest_layers(
-        _card_moves(spec), codec.encode(start.piles), lambda code: code == dst, iter([dst])
-    )
+    first, dst = map(state_codec(spec).encode, (start.piles, goal.piles))
+    layers = _shortest_layers(_card_moves(spec), first, dst.__eq__, iter([dst]))[0]
     return None if layers is None else len(layers) - 1
 
 
@@ -858,7 +871,7 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     shapes = _compositions(spec.m, spec.w)
     _within_budget(budget, shapes * total, "all-sources diameter")
 
-    ranks = _RankMoves(_card_moves(spec), spec.w)
+    ranks = _RankMoves(_card_moves(spec))
     diameter = 0
     # rank 0 deals cards 1..w in order over a composition
     for occ in _occupancies(ranks.moves.codec, spec.w):

@@ -252,7 +252,7 @@ def test_criterion_6_lower_bound_verification():
     assert diameters == {2: 3, 3: 8, 4: 13, 5: 20}
 
     reversals = {}
-    for w in range(2, 5):
+    for w in range(2, 9):
         d = reversal_distance(w)  # internally asserts d = 2 * card distance
         reversals[w] = d
         assert d >= (w * w) // 2  # ceil((w*w - 1) / 2)
@@ -260,7 +260,7 @@ def test_criterion_6_lower_bound_verification():
         ordered = CardsState((tuple(range(1, w)), (w,), ()))
         flipped = CardsState((tuple(range(w, 1, -1)), (1,), ()))
         assert d == 2 * cards_distance(cspec, ordered, flipped)
-    assert reversals == {2: 6, 3: 14, 4: 26}
+    assert reversals == {2: 6, 3: 14, 4: 26, 5: 36, 6: 54, 7: 68, 8: 90}
 
     # displacement metric: triangle inequality and the single-relocation law
     rng = random.Random(6)
@@ -339,6 +339,12 @@ def test_criterion_8_determinism(fixtures_dir, tmp_path):
         ("worst", "--spec", str(small), "--start", "*", "--goal",
          "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]"),
         ("diameter", "--cards", "4", "--piles", "3 3 1"),
+        # shortest paths keep sets of byte strings, whose order follows the
+        # hash seed
+        ("optimal", "--spec", spec_file, "--start", str(fixtures_dir / "solution20.start"),
+         "--goal", str(fixtures_dir / "ordered_goal.pattern")),
+        ("optimal", "--spec", spec_file, "--start", "H:[]|S1:[]|S2:[5,1,8]|S3:[3,7,2,6,4]",
+         "--goal", "S3 = [1,2,3,4,5]"),
         # "01" and "1" are distinct wagons whose numeric values tie
         ("solve", "--wagons", "3", "--headshunt", "2", "--sidings", "2 2 1",
          "--start", "H:[]|S1:[01,1]|S2:[2]|S3:[]", "--goal", "S3 = [2]"),

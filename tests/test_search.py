@@ -54,8 +54,11 @@ from inglenook.search import (
     GoalPattern,
     TrackRule,
     _card_moves,
+    _codes,
     _compile_match,
+    _level,
     _next_level,
+    _sets,
     _shunt_moves,
     pattern_conflicts,
 )
@@ -627,7 +630,8 @@ def test_cards_distance_matches_naive_bfs(case):
     assert cards_distance(spec, start, goal) == naive_card_distances(spec, start).get(goal)
 
 
-@pytest.mark.parametrize("w,expect", [(2, 6), (3, 14), (4, 26)])
+@pytest.mark.parametrize("w,expect", [(2, 6), (3, 14), (4, 26), (5, 36), (6, 54), (7, 68),
+                                      (8, 90)])
 def test_reversal_distances(w, expect):
     # frozen values; reversal_distance itself asserts the two-for-one
     # relation with the card search and the quadratic lower bound
@@ -681,17 +685,19 @@ def test_reversal_ordering_displacement_matches_closed_form():
 @given(specs_with_positions())
 @settings(max_examples=200, deadline=None)
 def test_shunt_table_matches_reference_rule_in_order(case):
+    # `children` translates p's places by its mask's place-table entry, which
+    # is built from one state of that mask, and maps them back to codes
     spec, p = case
     codec = position_codec(spec)
     want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
     code = codec.encode(p.tracks)
-    assert _next_level(_shunt_moves(spec), [code], {code}) == want
+    assert _shunt_moves(spec).children(code) == want
     # pushes first lists p's predecessors by the forward move into p, the
     # inverse of a legal move at p, in (siding, pull before push, count) order
     inverse_forward = sorted(legal_moves(spec, p),
                              key=lambda mv: (mv.siding, mv.direction == PULL, mv.count))
     want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in inverse_forward]
-    assert _next_level(_shunt_moves(spec, pushes_first=True), [code], {code}) == want
+    assert _shunt_moves(spec, pushes_first=True).children(code) == want
 
 
 @given(_cards_specs_with_state_pairs())
@@ -701,7 +707,43 @@ def test_card_table_matches_reference_rule_in_order(case):
     codec = state_codec(spec)
     want = [codec.encode(t.piles) for t in card_neighbors(spec, state)]
     code = codec.encode(state.piles)
-    assert _next_level(_card_moves(spec), [code], {code}) == want
+    assert _card_moves(spec).children(code) == want
+
+
+def _spheres(moves, code: int) -> list[set[int]]:
+    """The levels `_next_level` grows from one code, as sets of codes."""
+    level = _level(moves, [code])
+    seen, spheres = _sets(level), []
+    while level:
+        spheres.append(set(_codes(moves, level)))
+        level, meet = _next_level(moves, level, seen, {})
+        assert meet == {}
+    return spheres
+
+
+def _naive_spheres(dist: dict, encode) -> list[set[int]]:
+    spheres = [set() for _ in range(max(dist.values()) + 1)]
+    for state, d in dist.items():
+        spheres[d].add(encode(state))
+    return spheres
+
+
+@given(specs_with_positions(max_w=5, max_h=3, max_s=3, max_cap=3))
+@settings(max_examples=80, deadline=None)
+def test_shunt_levels_are_the_naive_distance_spheres(case):
+    spec, p = case
+    codec = position_codec(spec)
+    want = _naive_spheres(naive_distances(spec, p), lambda q: codec.encode(q.tracks))
+    assert _spheres(_shunt_moves(spec), codec.encode(p.tracks)) == want
+
+
+@given(_cards_specs_with_state_pairs())
+@settings(max_examples=80, deadline=None)
+def test_card_levels_are_the_naive_distance_spheres(case):
+    spec, state, _other = case
+    codec = state_codec(spec)
+    want = _naive_spheres(naive_card_distances(spec, state), lambda t: codec.encode(t.piles))
+    assert _spheres(_card_moves(spec), codec.encode(state.piles)) == want
 
 
 def test_occupancy_mask_with_labels_past_the_slot_high_bit():
@@ -716,7 +758,7 @@ def test_occupancy_mask_with_labels_past_the_slot_high_bit():
         occupancy = (((code & moves.low) + moves.low) | code) & moves.high
         assert occupancy == codec.encode(tuple((128,) * len(t) for t in p.tracks))
         want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
-        assert _next_level(moves, [code], {code}) == want
+        assert moves.children(code) == want
 
 
 def test_search_checks_are_not_asserts():
