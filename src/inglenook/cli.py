@@ -149,11 +149,8 @@ def cmd_gen(args) -> int:
     if args.start is None:
         raise FormatError("gen needs a --start pattern")
     pattern = _load_pattern(spec, args.start, None)
-    codec = model.position_codec(spec)
-    codes = sorted(search.matching_codes(spec, pattern, "the pattern"))
-    rng = random.Random(args.seed)
-    choice = codes[rng.randrange(len(codes))]
-    print(model.format_position(model.Position(codec.decode(choice))))
+    code = search.sample_code(spec, pattern, random.Random(args.seed), "the pattern")
+    print(model.format_position(model.Position(model.position_codec(spec).decode(code))))
     return EXIT_OK
 
 

@@ -38,7 +38,7 @@ from .model import (
     validate_position,
     validate_state,
 )
-from .search import UnsatisfiablePatternError, _compile_match, matching_codes  # re-export
+from .search import UnsatisfiablePatternError, _compile_match, least_code  # re-export
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,7 @@ def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrac
     codec = position_codec(spec)
     if _compile_match(spec, pattern)(codec.encode(start.tracks)):
         return SolutionTrace(start, start, ())
-    best = min(matching_codes(spec, pattern, "the goal pattern"))
+    best = least_code(spec, pattern, "the goal pattern")
     return solve_inglenook(spec, start, Position(codec.decode(best)))
 
 

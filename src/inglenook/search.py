@@ -25,7 +25,10 @@ sweep keeps three levels and a 16-bit depth per state.  An exact card-pile
 diameter takes one sweep per pile-size composition: renaming cards is a
 graph automorphism.  A goal pattern compiles once, by `_compile_match`, into
 a masked compare per alternative plus one set test per any-order track, and
-one enumerator, `_alternative_codes`, lists the codes an alternative allows.
+one plan per alternative, `_Plan`, indexes the codes it allows in one order:
+it counts them, lists them (`matching_codes`), builds the one at any index
+by unranking wagon orders (`sample_code`, for `gen`) and names the least
+(`least_code`, the target of `solve_to_pattern`).
 Budgets are checked once, up front, by `_within_budget`, against every state
 a search could label, so the kernels take no budget.
 """
@@ -33,6 +36,7 @@ a search could label, so the kernels take no budget.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 import sys
@@ -273,44 +277,130 @@ def _iter_matching_codes(spec: PuzzleSpec, pattern: GoalPattern):
     A position matching several alternatives is yielded once, under the
     first of them: later alternatives skip what an earlier one matches.
     """
-    codec = position_codec(spec)
-    earlier = []
-    for alt in pattern.alternatives:
-        if _alternative_conflict(spec, alt):
-            continue
-        found = _alternative_codes(codec, alt, spec.w)
-        if earlier:
-            found = (code for code in found if not any(match(code) for match in earlier))
+    plans = _plans(spec, pattern)
+    for k, (plan, _match) in enumerate(plans):
+        found = plan.codes()
+        if k:
+            found = (code for code in found if not _earlier_match(plans, k, code))
         yield from found
-        earlier.append(_compile_match(spec, GoalPattern((alt,))))
 
 
-def _alternative_codes(codec, alt: tuple[TrackRule, ...], w: int):
-    """Yield the code of every layout of wagons 1..w that a satisfiable
-    alternative allows, summed from the codec's slot shifts.
+def sample_code(spec: PuzzleSpec, pattern: GoalPattern, rng, what: str) -> int:
+    """A code drawn uniformly from the positions matching the pattern, by
+    `rng`; refuses a pattern that no position matches, naming it `what`.
 
-    The orders of the any-order tracks vary slowest, then the permutations
-    of the loose wagons, then their `_track_lengths` layouts over the `ANY`
-    tracks, each run filling its track's leading slots.
+    An index over every alternative's codes picks one alternative's code;
+    a position that an earlier alternative also matches is drawn again,
+    so each matching position is kept under one index only.  A
+    single-alternative pattern takes one `rng.randrange` call.
     """
-    base = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
-    pinned = {x for rule in alt if rule.kind in (EXACT, SET_ANY_ORDER) for x in rule.wagons}
-    loose = sorted(set(range(1, w + 1)) - pinned)
-    orders = [
-        [sum(map(operator.lshift, order, _leading_shifts(codec, i, len(rule.wagons))))
-         for order in itertools.permutations(sorted(rule.wagons))]
-        for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER
-    ]
-    any_tracks = [i for i, rule in enumerate(alt) if rule.kind == ANY]
-    layouts = [
-        [shift for i, k in zip(any_tracks, lens) for shift in _leading_shifts(codec, i, k)]
-        for lens in _track_lengths([codec.caps[i] for i in any_tracks], len(loose))
-    ]
-    for pick in itertools.product(*orders):
-        fixed = base + sum(pick)
-        for perm in itertools.permutations(loose):
-            for shifts in layouts:
-                yield fixed + sum(map(operator.lshift, perm, shifts))
+    plans = _plans(spec, pattern)
+    if not plans:
+        raise _unsatisfiable(spec, pattern, what)
+    total = sum(plan.count for plan, _match in plans)
+    while True:
+        i = rng.randrange(total)
+        for k, (plan, match) in enumerate(plans):
+            if i < plan.count:
+                break
+            i -= plan.count
+        code = plan.code(i)
+        if not _earlier_match(plans, k, code):
+            break
+    if not match(code):
+        raise InternalCheckError(f"the drawn position does not match {what}")
+    return code
+
+
+def least_code(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> int:
+    """`min(matching_codes(spec, pattern, what))`, without listing them:
+    each alternative's least code is its `_Plan`'s index 0."""
+    plans = _plans(spec, pattern)
+    if not plans:
+        raise _unsatisfiable(spec, pattern, what)
+    return min(plan.code(0) for plan, _match in plans)
+
+
+def _plans(spec: PuzzleSpec, pattern: GoalPattern) -> list[tuple[_Plan, object]]:
+    """A `_Plan` and the compiled goal test of each satisfiable
+    alternative, in pattern order."""
+    codec = position_codec(spec)
+    return [(_Plan(codec, alt, spec.w), _compile_match(spec, GoalPattern((alt,))))
+            for alt in pattern.alternatives if not _alternative_conflict(spec, alt)]
+
+
+def _earlier_match(plans, k: int, code: int) -> bool:
+    """Whether an alternative before the k-th matches `code`."""
+    return any(match(code) for _plan, match in plans[:k])
+
+
+class _Plan:
+    """The codes of every layout of wagons 1..w that one satisfiable
+    alternative allows, indexed 0..count-1, summed from the codec's slot
+    shifts.
+
+    An index is a mixed-radix number.  The orders of the any-order tracks
+    are its slowest digits (k! each, in track order), then the permutation
+    of the L loose wagons (L!), then, fastest, their `_track_lengths`
+    layouts over the `ANY` tracks, each run filling its track's leading
+    slots.  A permutation digit counts in lexicographic order from sorted
+    wagons, the order of `itertools.permutations`.  Index 0 holds the
+    least code: there every run ascends along its slots, whose shifts
+    descend, and the first layout leaves each leading track as short as
+    the later ones allow, so a higher slot is empty wherever another
+    layout fills it.
+    """
+
+    __slots__ = ("base", "sets", "loose", "layouts", "set_orders", "count")
+
+    def __init__(self, codec, alt: tuple[TrackRule, ...], w: int):
+        self.base = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
+        pinned = {x for rule in alt if rule.kind in (EXACT, SET_ANY_ORDER) for x in rule.wagons}
+        self.sets = [(sorted(rule.wagons), _leading_shifts(codec, i, len(rule.wagons)))
+                     for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER]
+        self.loose = sorted(set(range(1, w + 1)) - pinned)
+        any_tracks = [i for i, rule in enumerate(alt) if rule.kind == ANY]
+        self.layouts = [
+            [shift for i, k in zip(any_tracks, lens) for shift in _leading_shifts(codec, i, k)]
+            for lens in _track_lengths([codec.caps[i] for i in any_tracks], len(self.loose))
+        ]
+        self.set_orders = math.prod(math.factorial(len(wagons)) for wagons, _shifts in self.sets)
+        self.count = self.set_orders * math.factorial(len(self.loose)) * len(self.layouts)
+
+    def code(self, i: int) -> int:
+        """The code at index i."""
+        i, j = divmod(i, len(self.layouts))
+        i, r = divmod(i, math.factorial(len(self.loose)))
+        return self._fixed(i) + sum(map(operator.lshift, _unrank(self.loose, r), self.layouts[j]))
+
+    def codes(self):
+        """Every code, in index order."""
+        for i in range(self.set_orders):
+            fixed = self._fixed(i)
+            for perm in itertools.permutations(self.loose):
+                for shifts in self.layouts:
+                    yield fixed + sum(map(operator.lshift, perm, shifts))
+
+    def _fixed(self, i: int) -> int:
+        """The base plus the any-order runs of the i-th of `set_orders`."""
+        fixed = self.base
+        for wagons, shifts in reversed(self.sets):
+            i, r = divmod(i, math.factorial(len(wagons)))
+            fixed += sum(map(operator.lshift, _unrank(wagons, r), shifts))
+        return fixed
+
+
+def _unrank(items: list[int], rank: int) -> list[int]:
+    """The permutation of `rank` in the lexicographic order of the
+    permutations of sorted `items` (factorial-base digits)."""
+    items = list(items)
+    f = math.factorial(len(items))
+    out = []
+    for n in range(len(items), 0, -1):
+        f //= n
+        d, rank = divmod(rank, f)
+        out.append(items.pop(d))
+    return out
 
 
 def _leading_shifts(codec, track: int, n: int) -> list[int]:

@@ -2,11 +2,13 @@
 
 The oracles here deliberately use only the model-level move operations,
 never the packed search kernel, so kernel results are checked against an
-independent route.  Two of them stand in for the package's packed forms:
-`legal_moves` lists a position's moves in the reference order (siding,
-pull before push, count) that the move tables must keep, and
+independent route.  Three of them stand in for the package's packed
+forms: `legal_moves` lists a position's moves in the reference order
+(siding, pull before push, count) that the move tables must keep,
 `pattern_matches` tests a position against a goal pattern track by track,
-as the compiled goal test must.  `naive_worst` takes its sources and its
+as the compiled goal test must, and `naive_alternative_positions` lists a
+pattern alternative's positions in the enumeration order that `worst`
+witnesses and `gen` samples follow.  `naive_worst` takes its sources and its
 start order from `matching_codes`, the package's enumerator, since that
 order decides the reported witness.
 """
@@ -256,6 +258,34 @@ def all_positions(spec: PuzzleSpec) -> list[Position]:
                 tracks.append(perm[at : at + k])
                 at += k
             out.append(Position(tuple(tracks)))
+    return out
+
+
+def naive_alternative_positions(spec: PuzzleSpec, alt) -> list[Position]:
+    """The positions a satisfiable alternative allows, in the package's
+    enumeration order, built track by track: each any-order track's orders
+    slowest (tracks in order, each its sorted wagons in
+    `itertools.permutations` order), then the permutations of the loose
+    wagons, then their layouts over the `ANY` tracks, filled in track
+    order, the first track's length ascending slowest."""
+    sets = [i for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER]
+    free = [i for i, rule in enumerate(alt) if rule.kind == ANY]
+    pinned = {x for rule in alt if rule.kind in (EXACT, SET_ANY_ORDER) for x in rule.wagons}
+    loose = sorted(set(range(1, spec.w + 1)) - pinned)
+    layouts = [lens for lens in itertools.product(
+        *(range(spec.track_capacity(i) + 1) for i in free)) if sum(lens) == len(loose)]
+    out = []
+    for orders in itertools.product(*(itertools.permutations(sorted(alt[i].wagons))
+                                      for i in sets)):
+        for perm in itertools.permutations(loose):
+            for lens in layouts:
+                tracks = [rule.wagons if rule.kind == EXACT else () for rule in alt]
+                for i, order in zip(sets, orders):
+                    tracks[i] = order
+                rest = iter(perm)
+                for i, k in zip(free, lens):
+                    tracks[i] = tuple(itertools.islice(rest, k))
+                out.append(Position(tuple(tracks)))
     return out
 
 

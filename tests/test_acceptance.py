@@ -3,7 +3,8 @@ PASS line.  Run with `pytest -v -s tests/test_acceptance.py`.
 
 The classic-plan sweeps each label all 2,136,960 positions on rank tables
 and take a few seconds together; the classic optimal searches meet in the
-middle.  Both run in the quick loop, and nothing here is marked `slow`.
+middle.  Both run in the quick loop; only the w = 8 card diameter, at
+3–5 s, is marked `slow`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import inglenook
 from inglenook import (
@@ -243,13 +246,8 @@ def test_criterion_5_constructive_bounds():
 
 
 def test_criterion_6_lower_bound_verification():
-    diameters = {}
-    for w in range(2, 6):
-        spec = CardsSpec(w, (w - 1, w - 1, 1))
-        d = cards_diameter(spec)
-        diameters[w] = d
-        assert d >= (w * w + 2) // 4  # ceil((w*w - 1) / 4)
-    assert diameters == {2: 3, 3: 8, 4: 13, 5: 20}
+    diameters = {w: _card_diameter(w) for w in range(2, 8)}
+    assert diameters == {2: 3, 3: 8, 4: 13, 5: 20, 6: 27, 7: 36}
 
     reversals = {}
     for w in range(2, 9):
@@ -278,6 +276,20 @@ def test_criterion_6_lower_bound_verification():
         assert ordering_displacement(a, moved) == 2 * (v - u)
     _report(6, "lower bounds at desk scale",
             f"diameters {diameters}, reversals {reversals}")
+
+
+def _card_diameter(w: int) -> int:
+    """The card diameter on piles (w-1, w-1, 1), checked against the
+    lower bound ceil((w*w - 1) / 4)."""
+    d = cards_diameter(CardsSpec(w, (w - 1, w - 1, 1)))
+    assert d >= (w * w + 2) // 4
+    return d
+
+
+@pytest.mark.slow
+def test_criterion_6_card_diameter_of_eight():
+    assert _card_diameter(8) == 45
+    _report(6, "card diameter at w = 8", "45")
 
 
 def _run_cli(*argv: str):
@@ -330,6 +342,9 @@ def test_criterion_8_determinism(fixtures_dir, tmp_path):
         ("check", "--spec", spec_file),
         ("gen", "--spec", spec_file, "--start", str(fixtures_dir / "classic_start.pattern"),
          "--seed", "42"),
+        # seed 18 draws twice: its first draw is a position of the second
+        # line that the first line also matches
+        ("gen", "--spec", str(small), "--start", "S1 ~ {1,2}\nH = []", "--seed", "18"),
         ("verify", "--spec", spec_file, "--start", str(fixtures_dir / "solution17.start"),
          "--moves", str(fixtures_dir / "solution17.moves")),
         ("solve", "--spec", str(small), "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",

@@ -5,14 +5,19 @@ acceptance suite; commands here use small instances."""
 from __future__ import annotations
 
 import io
+import os
 import random
 import string
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from inglenook import PuzzleSpec, format_position, parse_position
 from inglenook.cli import run
 
 SMALL_SPEC = "wagons = 4\nheadshunt = 2\nsidings = 2 2 1\n"
@@ -300,6 +305,35 @@ def test_gen_unsatisfiable_exits_two(tmp_path):
     code, _, err = run_cli("gen", "--spec", spec, "--start", "S3 = [1,2]", "--seed", "1")
     assert code == 2
     assert "error" in err
+
+
+def test_gen_samples_a_plan_too_large_to_list():
+    # 20 wagons on 35 places: more than 20! matching positions
+    flags = ("--wagons", "20", "--headshunt", "5", "--sidings", "10 10 10")
+    code, out, err = run_cli("gen", *flags, "--start", "*", "--seed", "3")
+    assert (code, err) == (0, "")
+    spec = PuzzleSpec(20, 5, (10, 10, 10))
+    assert format_position(parse_position(spec, out.strip())) == out.strip()
+
+
+def test_gen_check_survives_python_O():
+    # `python -O` strips assert statements; a drawn code that misses the
+    # pattern must still be refused as a failed internal check
+    script = (
+        "import sys\n"
+        "from inglenook import cli, search\n"
+        "assert False, 'assert statements must be stripped'\n"
+        "search._Plan.code = lambda self, i: 0\n"
+        "sys.exit(cli.run(['gen', '--wagons', '3', '--headshunt', '2',\n"
+        "                  '--sidings', '2 2 1', '--start', 'S1 = [1]']))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (4, ""), done.stderr
+    assert done.stderr == "error: the drawn position does not match the pattern\n"
 
 
 def test_verify_accepts_own_solver_output(tmp_path):

@@ -8,7 +8,9 @@ the acceptance suite; everything here runs in seconds.
 from __future__ import annotations
 
 import ast
+import collections
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,8 @@ from inglenook.search import (
     DisconnectedGraphError,
     GoalPattern,
     TrackRule,
+    _Plan,
+    _alternative_conflict,
     _card_moves,
     _codes,
     _compile_match,
@@ -60,7 +64,9 @@ from inglenook.search import (
     _next_level,
     _sets,
     _shunt_moves,
+    least_code,
     pattern_conflicts,
+    sample_code,
 )
 
 from conftest import (
@@ -70,6 +76,7 @@ from conftest import (
     card_states,
     cards_specs,
     legal_moves,
+    naive_alternative_positions,
     naive_card_distances,
     naive_cards_components,
     naive_distances,
@@ -259,6 +266,63 @@ def test_matching_codes_are_the_matching_positions(case):
     codes = matching_codes(spec, pattern, "it")
     assert len(codes) == len(set(codes))
     assert set(codes) == want
+
+
+@given(specs_with_patterns())
+@example((PuzzleSpec(5, 2, (2, 2, 1)), parse_pattern(PuzzleSpec(5, 2, (2, 2, 1)),
+                                                      "H ~ {1,2}; S1 ~ {3,4}")))
+@settings(max_examples=150, deadline=None)
+def test_plan_counts_lists_and_unranks_each_alternative(case):
+    spec, pattern = case
+    codec = position_codec(spec)
+    for alt in pattern.alternatives:
+        if _alternative_conflict(spec, alt):
+            continue
+        plan = _Plan(codec, alt, spec.w)
+        want = [codec.encode(p.tracks) for p in naive_alternative_positions(spec, alt)]
+        assert list(plan.codes()) == want
+        assert plan.count == len(want) == len(set(want))
+        assert [plan.code(i) for i in range(plan.count)] == want
+        assert plan.code(0) == min(want)
+        alone = GoalPattern((alt,))
+        assert plan.count == sum(pattern_matches(spec, alone, p) for p in all_positions(spec))
+
+
+@given(specs_with_patterns())
+@settings(max_examples=150, deadline=None)
+def test_least_code_is_the_least_matching_code(case):
+    spec, pattern = case
+    try:
+        codes = matching_codes(spec, pattern, "it")
+    except UnsatisfiablePatternError as exc:
+        with pytest.raises(UnsatisfiablePatternError, match=f"^{re.escape(str(exc))}$"):
+            least_code(spec, pattern, "it")
+        return
+    assert least_code(spec, pattern, "it") == min(codes)
+
+
+def test_sample_code_is_uniform_over_the_matching_positions():
+    # 16 indices over two alternatives name 14 positions: the two the
+    # second alternative shares with the first are drawn again
+    pattern = parse_pattern(SMALL, "S1 ~ {1,2}; S3 = [3]\nS3 = [3]; H = []")
+    codes = matching_codes(SMALL, pattern, "the pattern")
+    draws = 2800
+    counts = collections.Counter(sample_code(SMALL, pattern, random.Random(seed), "it")
+                                 for seed in range(draws))
+    assert sorted(counts) == sorted(codes)
+    # each count is Binomial(2800, 1/14): mean 200, standard deviation 13.6;
+    # allow five standard deviations
+    assert all(abs(n - 200) <= 68 for n in counts.values()), counts
+
+
+def test_sample_code_takes_one_draw_for_one_alternative():
+    # the index of one `randrange(count)` call, in enumeration order
+    pattern = parse_pattern(SMALL, "S3 = [3]; H = []")
+    codes = matching_codes(SMALL, pattern, "the pattern")
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert sample_code(SMALL, pattern, rng, "it") == codes[ref.randrange(len(codes))]
+        assert rng.getstate() == ref.getstate()
 
 
 def _first_forward_moves_back(spec, dist, goal):
