@@ -26,9 +26,10 @@ diameter takes one sweep per pile-size composition: renaming cards is a
 graph automorphism.  A goal pattern compiles once, by `_compile_match`, into
 a masked compare per alternative plus one set test per any-order track, and
 one plan per alternative, `_Plan`, indexes the codes it allows in one order:
-it counts them, lists them (`matching_codes`), builds the one at any index
-by unranking wagon orders (`sample_code`, for `gen`) and names the least
-(`least_code`, the target of `solve_to_pattern`).
+it counts them and builds the one at any index by unranking wagon orders,
+so it lists them (`matching_codes`, index by index), samples one
+(`sample_code`, for `gen`) and names the least (`least_code`, the target of
+`solve_to_pattern`).
 Budgets are checked once, up front, by `_within_budget`, against every state
 a search could label, so the kernels take no budget.
 """
@@ -279,7 +280,7 @@ def _iter_matching_codes(spec: PuzzleSpec, pattern: GoalPattern):
     """
     plans = _plans(spec, pattern)
     for k, (plan, _match) in enumerate(plans):
-        found = plan.codes()
+        found = map(plan.code, range(plan.count))
         if k:
             found = (code for code in found if not _earlier_match(plans, k, code))
         yield from found
@@ -351,7 +352,7 @@ class _Plan:
     layout fills it.
     """
 
-    __slots__ = ("base", "sets", "loose", "layouts", "set_orders", "count")
+    __slots__ = ("base", "sets", "loose", "layouts", "count")
 
     def __init__(self, codec, alt: tuple[TrackRule, ...], w: int):
         self.base = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
@@ -364,8 +365,8 @@ class _Plan:
             [shift for i, k in zip(any_tracks, lens) for shift in _leading_shifts(codec, i, k)]
             for lens in _track_lengths([codec.caps[i] for i in any_tracks], len(self.loose))
         ]
-        self.set_orders = math.prod(math.factorial(len(wagons)) for wagons, _shifts in self.sets)
-        self.count = self.set_orders * math.factorial(len(self.loose)) * len(self.layouts)
+        orders = math.prod(math.factorial(len(wagons)) for wagons, _shifts in self.sets)
+        self.count = orders * math.factorial(len(self.loose)) * len(self.layouts)
 
     def code(self, i: int) -> int:
         """The code at index i."""
@@ -373,16 +374,9 @@ class _Plan:
         i, r = divmod(i, math.factorial(len(self.loose)))
         return self._fixed(i) + sum(map(operator.lshift, _unrank(self.loose, r), self.layouts[j]))
 
-    def codes(self):
-        """Every code, in index order."""
-        for i in range(self.set_orders):
-            fixed = self._fixed(i)
-            for perm in itertools.permutations(self.loose):
-                for shifts in self.layouts:
-                    yield fixed + sum(map(operator.lshift, perm, shifts))
-
     def _fixed(self, i: int) -> int:
-        """The base plus the any-order runs of the i-th of `set_orders`."""
+        """The base plus the any-order runs of the i-th joint order of the
+        any-order tracks."""
         fixed = self.base
         for wagons, shifts in reversed(self.sets):
             i, r = divmod(i, math.factorial(len(wagons)))

@@ -280,7 +280,6 @@ def test_plan_counts_lists_and_unranks_each_alternative(case):
             continue
         plan = _Plan(codec, alt, spec.w)
         want = [codec.encode(p.tracks) for p in naive_alternative_positions(spec, alt)]
-        assert list(plan.codes()) == want
         assert plan.count == len(want) == len(set(want))
         assert [plan.code(i) for i in range(plan.count)] == want
         assert plan.code(0) == min(want)
