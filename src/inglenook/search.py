@@ -20,12 +20,14 @@ reversed layers on the pushes-first table, which takes the first forward
 move in (siding, pull before push, count) order; `worst` walks from the
 first goal on a deepest path to its witness.  Full sweeps (`worst`, the
 census, the diameter) run `_bfs_levels` on `_RankMoves`, the same tables on
-(mask, label-order rank) states, where a move is one list of w! ranks; a
-sweep keeps three levels and a 16-bit depth per state.  An exact card-pile
-diameter takes one sweep per pile-size composition: renaming cards is a
-graph automorphism.  A goal pattern compiles once, by `_compile_match`, into
-a masked compare per alternative plus one set test per any-order track, and
-one plan per alternative, `_Plan`, indexes the codes it allows in one order:
+(mask, label-order rank) states, where a move is one list of w! ranks, built
+up front by `_rank_table` from blocks of the lexicographic ranks rather than
+permutation by permutation; a sweep keeps three levels and a 16-bit depth
+per state.  An exact card-pile diameter takes one sweep per pile-size
+composition: renaming cards is a graph automorphism.  A goal pattern
+compiles once, by `_compile_match`, into a masked compare per alternative
+plus one set test per any-order track, and one plan per alternative,
+`_Plan`, indexes the codes it allows in one order:
 it counts them and builds the one at any index by unranking wagon orders,
 so it lists them (`matching_codes`, index by index), samples one
 (`sample_code`, for `gen`) and names the least (`least_code`, the target of
@@ -530,19 +532,30 @@ def _first_path(moves, first, layers) -> list:
 
 class _RankMoves(dict):
     """The moves of a `_MoveTable` on (mask, rank) states, where rank is
-    the lexicographic rank of the places among the w! orders of 0..w-1.  An
-    entry, built on first use from the move table's, lists (child mask, T)
-    in table order: T[rank] is the child's rank, so a whole tuple of ranks
-    moves with no arithmetic per state.  Moves with the same translate table
-    share T, and every T and level shares the int objects of `rank`.
+    the lexicographic rank of the places among the w! orders of 0..w-1.
+    Every mask's entry is built up front, by `_rank_table`, and lists
+    (child mask, T) in table order: T[rank] is the child's rank, so a whole
+    tuple of ranks moves with no arithmetic per state.  Moves with the same
+    translate table share T, and every T and level shares the int objects
+    of `rank`.
     """
 
     def __init__(self, moves: _MoveTable):
         super().__init__()
         self.moves = moves
         self.perms = list(map(bytes, itertools.permutations(range(moves.w))))
-        self.rank = dict(zip(self.perms, range(len(self.perms))))
-        self.tables: dict[bytes, list[int]] = {}
+        ints = list(range(len(self.perms)))
+        self.rank = dict(zip(self.perms, ints))
+        occs = _occupancies(moves.codec, moves.w)
+        # every table is allocated before the memo of `_rank_table`, so the
+        # memo, freed on return, leaves one run that the sweep's depths reuse
+        tables = {t: [0] * len(ints)
+                  for t in dict.fromkeys(t for occ in occs for _child, t in moves[occ])}
+        gathers: dict[bytes, operator.itemgetter] = {}
+        for t, table in tables.items():
+            _rank_table(table, t[:moves.w], ints, gathers)
+        for occ in occs:
+            self[occ] = [(child, tables[t]) for child, t in moves[occ]]
 
     def state(self, code: int) -> tuple[int, int]:
         occ, places = self.moves.state(code)
@@ -551,20 +564,37 @@ class _RankMoves(dict):
     def code(self, occ: int, rank: int) -> int:
         return self.moves.code(occ, self.perms[rank])
 
-    def __missing__(self, occ: int) -> list[tuple[int, list[int]]]:
-        entry = []
-        for child, t in self.moves[occ]:
-            if t not in self.tables:
-                moved = map(bytes.translate, self.perms, itertools.repeat(t))
-                self.tables[t] = list(map(self.rank.__getitem__, moved))
-            entry.append((child, self.tables[t]))
-        self[occ] = entry
-        return entry
-
     def children(self, state: tuple[int, int]) -> list[tuple[int, int]]:
         """The children of `state`, in table order."""
         occ, rank = state
         return [(child, table[rank]) for child, table in self[occ]]
+
+
+def _rank_table(table: list[int], t: bytes, ints: list[int], gathers: dict) -> None:
+    """Fill `table`, k! entries, with T_t, the rank table of the place
+    permutation t of 0..k-1: T_t[r] is the rank of `p.translate(t)` for the
+    order p of rank r.  Its entries are the objects of `ints`, the ranks
+    0..k!-1.
+
+    The (k-1)! ranks whose first place is v form block v, and t sends block
+    v, whole, to block t[v], in the order of t without v (t∖v: v taken out
+    of its domain and t[v] out of its range, relabelled to 0..k-2), so
+    T_t[v·(k-1)! + i] = t[v]·(k-1)! + T_{t∖v}[i].  A block is one
+    itemgetter of T_{t∖v} over a slice of `ints`; `gathers` keeps those
+    itemgetters by t∖v, for the other tables that share it.
+    """
+    f = math.factorial(len(t) - 1)
+    for v, tv in enumerate(t):
+        block = ints[tv * f:(tv + 1) * f]
+        if f > 1:
+            rest = bytes(x - (x > tv) for x in t[:v] + t[v + 1:])
+            gather = gathers.get(rest)
+            if gather is None:
+                sub = [0] * f
+                _rank_table(sub, rest, ints, gathers)
+                gather = gathers[rest] = operator.itemgetter(*sub)
+            block = gather(block)
+        table[v * f:(v + 1) * f] = block
 
 
 def _mask(codec, lens) -> int:
@@ -881,7 +911,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     if explored < total:
         # Some positions cannot reach the goal set at all; report the first
         # matching start among them, if any.
-        for code in matching_codes(spec, start_pattern, "the start pattern"):
+        for code in _iter_matching_codes(spec, start_pattern):
             occ, rank = ranks.state(code)
             if not depth[occ][rank]:
                 return WorstCaseReport(None, Position(codec.decode(code)), explored)

@@ -10,7 +10,8 @@ as the compiled goal test must, and `naive_alternative_positions` lists a
 pattern alternative's positions in the enumeration order that `worst`
 witnesses and `gen` samples follow.  `naive_worst` takes its sources and its
 start order from `matching_codes`, the package's enumerator, since that
-order decides the reported witness.
+order decides the reported witness.  `naive_rank_table` builds a move's
+rank table the direct way, one translate and rank lookup per permutation.
 """
 
 from __future__ import annotations
@@ -235,6 +236,16 @@ def naive_worst(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern)
         level, depth = nxt, depth + 1
     unreached = next((p for p in starts if p not in seen), None)
     return distance, start, len(seen), unreached
+
+
+def naive_rank_table(t: bytes) -> list[int]:
+    """The rank table of the place permutation t of 0..k-1: entry r is the
+    lexicographic rank of `p.translate(t)` for the r-th permutation p of
+    0..k-1, found by translating every p and looking its result up."""
+    perms = list(map(bytes, itertools.permutations(range(len(t)))))
+    rank = {p: r for r, p in enumerate(perms)}
+    table = t + bytes(256 - len(t))
+    return [rank[p.translate(table)] for p in perms]
 
 
 def all_positions(spec: PuzzleSpec) -> list[Position]:

@@ -42,6 +42,7 @@ from inglenook import (
     replay,
     replay_cards,
     reversal_distance,
+    search,
     solve_cards,
     solve_inglenook,
     worst_case_moves,
@@ -156,7 +157,13 @@ def test_criterion_3_note_either_short_siding_family_is_cheaper():
     assert pattern_matches(CLASSIC, loose, final)
 
 
-def test_criterion_4_worst_case_sweeps():
+# The level sizes of the sweep from the ordered finish over every classic
+# position; the deepest level, 21, is the note below.
+_ORDERED_SWEEP_LEVELS = [1, 6, 18, 73, 267, 851, 2517, 6641, 15806, 34183, 65936, 121738,
+                         203709, 298383, 385716, 397284, 325290, 190582, 71974, 14475, 1499, 11]
+
+
+def test_criterion_4_worst_case_sweeps(monkeypatch):
     goal_family = _classic_goal_family()
     classic_starts = parse_pattern(CLASSIC, "H = []; S1 = []")
     all_starts = GoalPattern.all_positions(CLASSIC)
@@ -170,7 +177,16 @@ def test_criterion_4_worst_case_sweeps():
 
     # the 20-move bound is over the published deal family (headshunt and
     # Siding 1 empty); its worst witness is the published 20-move start
+    bfs_levels, sweeps = search._bfs_levels, []
+
+    def recorded(*args):
+        sweeps.append(bfs_levels(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(search, "_bfs_levels", recorded)
     r20 = worst_case_moves(CLASSIC, classic_starts, _ordered_goal())
+    assert sweeps == [_ORDERED_SWEEP_LEVELS]
+    assert sum(_ORDERED_SWEEP_LEVELS) == 2_136_960
     assert r20.distance == 20
     assert r20.start == parse_position(CLASSIC, "H:[]|S1:[]|S2:[6,1,8]|S3:[5,4,7,2,3]")
     _report(4, "worst cases 17/18/20")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import ast
 import collections
+import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -56,12 +58,15 @@ from inglenook.search import (
     GoalPattern,
     TrackRule,
     _Plan,
+    _RankMoves,
     _alternative_conflict,
     _card_moves,
     _codes,
     _compile_match,
     _level,
     _next_level,
+    _occupancies,
+    _rank_table,
     _sets,
     _shunt_moves,
     least_code,
@@ -81,10 +86,12 @@ from conftest import (
     naive_cards_components,
     naive_distances,
     naive_first_match,
+    naive_rank_table,
     naive_worst,
     pattern_matches,
     patterns,
     positions,
+    puzzle_specs,
     specs_with_patterns,
     specs_with_positions,
 )
@@ -771,6 +778,45 @@ def test_card_table_matches_reference_rule_in_order(case):
     want = [codec.encode(t.piles) for t in card_neighbors(spec, state)]
     code = codec.encode(state.piles)
     assert _card_moves(spec).children(code) == want
+
+
+@pytest.mark.parametrize("w", range(1, 6))
+def test_rank_table_is_the_naive_table_for_every_permutation(w):
+    # one memo for all of S_w, as one `_RankMoves` build shares it
+    ints, gathers = list(range(math.factorial(w))), {}
+    for t in map(bytes, itertools.permutations(range(w))):
+        table = [None] * len(ints)
+        _rank_table(table, t, ints, gathers)
+        assert table == naive_rank_table(t)
+
+
+def _check_rank_moves(moves):
+    # every mask's entry, in table order: the move table's child masks, each
+    # with the naive rank table of its translate table, one T per translate
+    # table, and only the int objects of `rank` in any T
+    ranks = _RankMoves(moves)
+    assert list(ranks) == _occupancies(moves.codec, moves.w)
+    shared, first = set(map(id, ranks.rank.values())), {}
+    for occ, entry in ranks.items():
+        assert [child for child, _table in entry] == [child for child, _t in moves[occ]]
+        for (_, table), (_, t) in zip(entry, moves[occ]):
+            if t not in first:
+                first[t] = table
+                assert table == naive_rank_table(t[:moves.w])
+                assert shared.issuperset(map(id, table))
+            assert table is first[t]
+
+
+@given(puzzle_specs())
+@settings(max_examples=60, deadline=None)
+def test_shunt_rank_tables_are_the_naive_tables_in_order(spec):
+    _check_rank_moves(_shunt_moves(spec))
+
+
+@given(cards_specs())
+@settings(max_examples=60, deadline=None)
+def test_card_rank_tables_are_the_naive_tables_in_order(spec):
+    _check_rank_moves(_card_moves(spec))
 
 
 def _spheres(moves, code: int) -> list[set[int]]:
