@@ -41,8 +41,17 @@ def _read_source(value: str) -> str:
         raise FormatError(f"cannot read {value!r}: {exc}") from None
 
 
+def _given(args, flags) -> str:
+    """The flags among `flags` that the command line sets, as text."""
+    return " ".join(f"--{flag}" for flag in flags if getattr(args, flag) is not None)
+
+
 def _load_spec(args) -> model.PuzzleSpec:
+    """The plan from --spec or from the inline flags, refusing both."""
     if args.spec is not None:
+        inline = _given(args, _SPEC_FLAGS[1:])
+        if inline:
+            raise FormatError(f"give --spec or the inline flags ({inline}), not both")
         return model.parse_spec_text(_read_source(args.spec))
     if args.wagons is None or args.headshunt is None or args.sidings is None:
         raise FormatError("give --spec or all of --wagons/--headshunt/--sidings")
@@ -127,6 +136,9 @@ def cmd_worst(args) -> int:
 
 
 def cmd_diameter(args) -> int:
+    cards, plan = _given(args, ("cards", "piles")), _given(args, _SPEC_FLAGS)
+    if cards and plan:
+        raise FormatError(f"give the card flags ({cards}) or the spec flags ({plan}), not both")
     if args.piles is not None:
         caps = model.parse_capacities("--piles", args.piles)
         if args.cards is None:

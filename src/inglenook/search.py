@@ -25,13 +25,13 @@ up front by `_rank_table` from blocks of the lexicographic ranks rather than
 permutation by permutation; a sweep keeps three levels and a 16-bit depth
 per state.  An exact card-pile diameter takes one sweep per pile-size
 composition: renaming cards is a graph automorphism.  A goal pattern
-compiles once, by `_compile_match`, into a masked compare per alternative
-plus one set test per any-order track, and one plan per alternative,
-`_Plan`, indexes the codes it allows in one order:
-it counts them and builds the one at any index by unranking wagon orders,
-so it lists them (`matching_codes`, index by index), samples one
-(`sample_code`, for `gen`) and names the least (`least_code`, the target of
-`solve_to_pattern`).
+compiles once per search, by `_plans`, into one `_Plan` per satisfiable
+alternative, its one compiled form.  A plan holds a masked compare plus one
+set test per any-order track, from which `_goal_test` builds the goal
+predicate, and indexes the codes it allows in one order: it counts them
+and builds the one at any index by unranking wagon orders, so it lists
+them (`matching_codes`, index by index), samples one (`sample_code`, for
+`gen`) and names the least (`least_code`, the target of `solve_to_pattern`).
 Budgets are checked once, up front, by `_within_budget`, against every state
 a search could label, so the kernels take no budget.
 """
@@ -53,6 +53,7 @@ from .model import (
     FormatError,
     InglenookError,
     InternalCheckError,
+    InvalidSpecError,
     LabelTable,
     Position,
     PuzzleSpec,
@@ -261,30 +262,19 @@ def _alternative_conflict(spec: PuzzleSpec, alt: tuple[TrackRule, ...]) -> str |
 def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[int]:
     """Codes of every valid position matching the pattern, in enumeration
     order; refuses a pattern that no position matches, naming it `what`."""
-    codes = list(_iter_matching_codes(spec, pattern))
-    if not codes:
-        raise _unsatisfiable(spec, pattern, what)
-    return codes
+    return list(_iter_codes(_plans(spec, pattern, what), position_codec(spec).slot_mask))
 
 
-def _unsatisfiable(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> UnsatisfiablePatternError:
-    return UnsatisfiablePatternError(
-        f"no valid position matches {what}", pattern_conflicts(spec, pattern)
-    )
+def _iter_codes(plans: list[_Plan], slot: int):
+    """Yield the codes the plans allow, lazily, in plan order.
 
-
-def _iter_matching_codes(spec: PuzzleSpec, pattern: GoalPattern):
-    """Yield the codes of `matching_codes`, lazily, and nothing for an
-    unsatisfiable pattern.
-
-    A position matching several alternatives is yielded once, under the
-    first of them: later alternatives skip what an earlier one matches.
+    A position matching several plans is yielded once, under the first of
+    them: later plans skip what an earlier one matches.
     """
-    plans = _plans(spec, pattern)
-    for k, (plan, _match) in enumerate(plans):
+    for k, plan in enumerate(plans):
         found = map(plan.code, range(plan.count))
         if k:
-            found = (code for code in found if not _earlier_match(plans, k, code))
+            found = itertools.filterfalse(_goal_test(plans[:k], slot), found)
         yield from found
 
 
@@ -297,20 +287,19 @@ def sample_code(spec: PuzzleSpec, pattern: GoalPattern, rng, what: str) -> int:
     so each matching position is kept under one index only.  A
     single-alternative pattern takes one `rng.randrange` call.
     """
-    plans = _plans(spec, pattern)
-    if not plans:
-        raise _unsatisfiable(spec, pattern, what)
-    total = sum(plan.count for plan, _match in plans)
+    plans = _plans(spec, pattern, what)
+    slot = position_codec(spec).slot_mask
+    total = sum(plan.count for plan in plans)
     while True:
         i = rng.randrange(total)
-        for k, (plan, match) in enumerate(plans):
+        for k, plan in enumerate(plans):
             if i < plan.count:
                 break
             i -= plan.count
         code = plan.code(i)
-        if not _earlier_match(plans, k, code):
+        if not _goal_test(plans[:k], slot)(code):
             break
-    if not match(code):
+    if not _goal_test([plan], slot)(code):
         raise InternalCheckError(f"the drawn position does not match {what}")
     return code
 
@@ -318,29 +307,51 @@ def sample_code(spec: PuzzleSpec, pattern: GoalPattern, rng, what: str) -> int:
 def least_code(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> int:
     """`min(matching_codes(spec, pattern, what))`, without listing them:
     each alternative's least code is its `_Plan`'s index 0."""
-    plans = _plans(spec, pattern)
-    if not plans:
-        raise _unsatisfiable(spec, pattern, what)
-    return min(plan.code(0) for plan, _match in plans)
+    return min(plan.code(0) for plan in _plans(spec, pattern, what))
 
 
-def _plans(spec: PuzzleSpec, pattern: GoalPattern) -> list[tuple[_Plan, object]]:
-    """A `_Plan` and the compiled goal test of each satisfiable
-    alternative, in pattern order."""
+def _plans(spec: PuzzleSpec, pattern: GoalPattern, what: str | None = None) -> list[_Plan]:
+    """The `_Plan` of each satisfiable alternative, in pattern order; given
+    `what`, refuses a pattern that no position matches, naming it `what`."""
     codec = position_codec(spec)
-    return [(_Plan(codec, alt, spec.w), _compile_match(spec, GoalPattern((alt,))))
-            for alt in pattern.alternatives if not _alternative_conflict(spec, alt)]
+    plans = [_Plan(codec, alt, spec.w)
+             for alt in pattern.alternatives if not _alternative_conflict(spec, alt)]
+    if what is not None and not plans:
+        raise UnsatisfiablePatternError(f"no valid position matches {what}",
+                                        pattern_conflicts(spec, pattern))
+    return plans
 
 
-def _earlier_match(plans, k: int, code: int) -> bool:
-    """Whether an alternative before the k-th matches `code`."""
-    return any(match(code) for _plan, match in plans[:k])
+def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
+    """The goal test of a pattern, over position codes."""
+    return _goal_test(_plans(spec, pattern), position_codec(spec).slot_mask)
+
+
+def _goal_test(plans: list[_Plan], slot: int):
+    """A predicate over codes: whether some plan matches, by its masked
+    compare against `base`, then its set tests.  It closes over tuples
+    taken from the plans once, so a code costs no attribute lookups."""
+    compiled = [(plan.mask, plan.base, plan.sets) for plan in plans]
+
+    def match(code: int) -> bool:
+        for mask, value, sets in compiled:
+            if code & mask == value and all(
+                {(code >> shift) & slot for shift in shifts} == wanted
+                for shifts, wanted in sets
+            ):
+                return True
+        return False
+
+    return match
 
 
 class _Plan:
-    """The codes of every layout of wagons 1..w that one satisfiable
-    alternative allows, indexed 0..count-1, summed from the codec's slot
-    shifts.
+    """The one compiled form of a satisfiable alternative: the codes of
+    every layout of wagons 1..w that it allows, indexed 0..count-1, summed
+    from the codec's slot shifts, and the test of whether a code is one: it
+    equals `base`, the exact tracks, on `mask`, the slots that no run fills
+    (the exact and empty tracks and the slots past each any-order run), and
+    each any-order run's leading slots, by their shifts, hold its `sets`.
 
     An index is a mixed-radix number.  The orders of the any-order tracks
     are its slowest digits (k! each, in track order), then the permutation
@@ -354,20 +365,24 @@ class _Plan:
     layout fills it.
     """
 
-    __slots__ = ("base", "sets", "loose", "layouts", "count")
+    __slots__ = ("base", "mask", "sets", "loose", "layouts", "count")
 
     def __init__(self, codec, alt: tuple[TrackRule, ...], w: int):
         self.base = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
         pinned = {x for rule in alt if rule.kind in (EXACT, SET_ANY_ORDER) for x in rule.wagons}
-        self.sets = [(sorted(rule.wagons), _leading_shifts(codec, i, len(rule.wagons)))
+        self.sets = [(_leading_shifts(codec, i, len(rule.wagons)), frozenset(rule.wagons))
                      for i, rule in enumerate(alt) if rule.kind == SET_ANY_ORDER]
         self.loose = sorted(set(range(1, w + 1)) - pinned)
         any_tracks = [i for i, rule in enumerate(alt) if rule.kind == ANY]
+        free = [shift for i in any_tracks for shift in _leading_shifts(codec, i, codec.caps[i])]
+        free += [shift for shifts, _wanted in self.sets for shift in shifts]
+        self.mask = (1 << codec.bits * codec.total_slots) - 1 - sum(
+            codec.slot_mask << shift for shift in free)
         self.layouts = [
             [shift for i, k in zip(any_tracks, lens) for shift in _leading_shifts(codec, i, k)]
             for lens in _track_lengths([codec.caps[i] for i in any_tracks], len(self.loose))
         ]
-        orders = math.prod(math.factorial(len(wagons)) for wagons, _shifts in self.sets)
+        orders = math.prod(math.factorial(len(wanted)) for _shifts, wanted in self.sets)
         self.count = orders * math.factorial(len(self.loose)) * len(self.layouts)
 
     def code(self, i: int) -> int:
@@ -380,9 +395,9 @@ class _Plan:
         """The base plus the any-order runs of the i-th joint order of the
         any-order tracks."""
         fixed = self.base
-        for wagons, shifts in reversed(self.sets):
-            i, r = divmod(i, math.factorial(len(wagons)))
-            fixed += sum(map(operator.lshift, _unrank(wagons, r), shifts))
+        for shifts, wanted in reversed(self.sets):
+            i, r = divmod(i, math.factorial(len(wanted)))
+            fixed += sum(map(operator.lshift, _unrank(sorted(wanted), r), shifts))
         return fixed
 
 
@@ -427,16 +442,18 @@ class _MoveTable(dict):
     place state is (mask, places), where places[j-1] is the index of label
     j's slot among the occupied slots in reading order (slot by slot, the
     first track's first slot first); labels and places take a byte each,
-    as in a code's 8-bit slots, so w < 256.  A move sends the label at place i to
-    place t[i] whatever the labels, so an entry, built on first use, lists a
-    mask's moves as (child mask, t padded to a 256-byte `bytes.translate`
-    table).  A rule is the ordered (source, destination) track pairs, which
-    end of each track is open (`front_open` when its first slot is), and
-    the largest block that may move; a block keeps its order.  Moves come
-    out by pair, then block size ascending.
+    as in a code's 8-bit slots, so a table refuses w > 255.  A move sends the
+    label at place i to place t[i] whatever the labels, so an entry, built
+    on first use, lists a mask's moves as (child mask, t padded to a
+    256-byte `bytes.translate` table).  A rule is the ordered (source,
+    destination) track pairs, which end of each track is open (`front_open`
+    when its first slot is), and the largest block that may move; a block
+    keeps its order.  Moves come out by pair, then block size ascending.
     """
 
     def __init__(self, codec, w: int, front_open: tuple[bool, ...], pairs, max_block: int):
+        if w > 255:
+            raise InvalidSpecError(f"searches handle at most 255 wagons or cards, got {w}")
         super().__init__()
         self.codec = codec
         self.w = w
@@ -533,7 +550,8 @@ def _first_path(moves, first, layers) -> list:
 class _RankMoves(dict):
     """The moves of a `_MoveTable` on (mask, rank) states, where rank is
     the lexicographic rank of the places among the w! orders of 0..w-1.
-    Every mask's entry is built up front, by `_rank_table`, and lists
+    Every mask's entry is built up front, in `_occupancies` order, by
+    `_rank_table`, so the keys list every mask once; an entry lists
     (child mask, T) in table order: T[rank] is the child's rank, so a whole
     tuple of ranks moves with no arithmetic per state.  Moves with the same
     translate table share T, and every T and level shares the int objects
@@ -615,8 +633,7 @@ def _depth_map(ranks: _RankMoves) -> dict[int, memoryview]:
     view of a bytearray; `_bfs_levels` stores level + 1, so a sweep may run
     65,534 levels."""
     n = len(ranks.perms)
-    return {occ: memoryview(bytearray(2 * n)).cast("H")
-            for occ in _occupancies(ranks.moves.codec, ranks.moves.w)}
+    return {occ: memoryview(bytearray(2 * n)).cast("H") for occ in ranks}
 
 
 def _bfs_levels(ranks: _RankMoves, sources, depth: dict[int, memoryview]) -> list[int]:
@@ -779,47 +796,6 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
     return [set(_codes(moves, layer)) for layer in layers], explored
 
 
-def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
-    """Turn a pattern into a predicate over packed position codes.
-
-    Each satisfiable alternative compiles to (mask, value, sets): its exact
-    and empty tracks, and the slots past each any-order track's wanted
-    count, must read `code & mask == value`; each any-order track's leading
-    slots, given by their shifts, must hold exactly its wanted set.  An
-    alternative that `_alternative_conflict` rejects matches no valid
-    position and is dropped.
-    """
-    codec = position_codec(spec)
-    bits, slot = codec.bits, codec.slot_mask
-    compiled = []
-    for alt in pattern.alternatives:
-        if _alternative_conflict(spec, alt):
-            continue
-        mask = 0
-        sets = []
-        for i, rule in enumerate(alt):
-            shift, cap = codec.low_shift[i], codec.caps[i]
-            if rule.kind in (EXACT, EMPTY):
-                mask |= codec.seg_mask[i] << shift
-            elif rule.kind == SET_ANY_ORDER:
-                k = len(rule.wagons)
-                mask |= ((1 << bits * (cap - k)) - 1) << shift
-                sets.append((_leading_shifts(codec, i, k), frozenset(rule.wagons)))
-        value = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
-        compiled.append((mask, value, tuple(sets)))
-
-    def match(code: int) -> bool:
-        for mask, value, sets in compiled:
-            if code & mask == value and all(
-                {(code >> shift) & slot for shift in shifts} == wanted
-                for shifts, wanted in sets
-            ):
-                return True
-        return False
-
-    return match
-
-
 def _reconstruct(spec: PuzzleSpec, levels, end: int, distance: int):
     """Walk an optimal path backwards, preferring at each step the forward
     move with the smallest (siding, pull-before-push, count) triple.
@@ -866,8 +842,9 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     codec = position_codec(spec)
     moves = _shunt_moves(spec)
     first = codec.encode(start.tracks)
+    plans = _plans(spec, goal)
     layers, explored = _shortest_layers(
-        moves, first, _compile_match(spec, goal), _iter_matching_codes(spec, goal)
+        moves, first, _goal_test(plans, codec.slot_mask), _iter_codes(plans, codec.slot_mask)
     )
     if layers is None:
         return SearchReport(None, None, explored)
@@ -898,12 +875,12 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     levels to the sources, and walked forward from the first source on it.
     """
     total = _within_budget(budget, count_positions(spec), "worst-case sweep")
-    smatch = _compile_match(spec, start_pattern)
+    moves = _shunt_moves(spec)  # refuses w > 255 before a pattern is listed
     goals = matching_codes(spec, goal, "the goal pattern")
-    if next(_iter_matching_codes(spec, start_pattern), None) is None:
-        raise _unsatisfiable(spec, start_pattern, "the start pattern")
+    starts = _plans(spec, start_pattern, "the start pattern")
     codec = position_codec(spec)
-    ranks = _RankMoves(_shunt_moves(spec))
+    smatch = _goal_test(starts, codec.slot_mask)
+    ranks = _RankMoves(moves)
     depth = _depth_map(ranks)
     sizes = _bfs_levels(ranks, map(ranks.state, goals), depth)
     explored = sum(sizes)
@@ -911,7 +888,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     if explored < total:
         # Some positions cannot reach the goal set at all; report the first
         # matching start among them, if any.
-        for code in _iter_matching_codes(spec, start_pattern):
+        for code in _iter_codes(starts, codec.slot_mask):
             occ, rank = ranks.state(code)
             if not depth[occ][rank]:
                 return WorstCaseReport(None, Position(codec.decode(code)), explored)
@@ -988,7 +965,7 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     ranks = _RankMoves(_card_moves(spec))
     diameter = 0
     # rank 0 deals cards 1..w in order over a composition
-    for occ in _occupancies(ranks.moves.codec, spec.w):
+    for occ in ranks:
         sizes = _bfs_levels(ranks, [(occ, 0)], _depth_map(ranks))
         if sum(sizes) != total:
             raise DisconnectedGraphError(cards_component_census(spec, budget=budget))

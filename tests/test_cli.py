@@ -33,6 +33,12 @@ def run_cli(*argv: str):
     return code, out.getvalue(), err.getvalue()
 
 
+def fixture_args(fixtures_dir, argv):
+    """`argv` with each argument that starts with "@" read as a file under
+    fixtures/."""
+    return [str(fixtures_dir / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
 def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
@@ -489,3 +495,106 @@ def test_flags_a_command_does_not_read_are_rejected(fixtures_dir, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("check", "--wagons", "12", "--spec", "@classic.spec"),
+     "give --spec or the inline flags (--wagons), not both"),
+    (("optimal", "--headshunt", "2", "--sidings", "3 3", "--spec", "@classic.spec",
+      "--start", "H:[]|S1:[]|S2:[]|S3:[]", "--goal", "*"),
+     "give --spec or the inline flags (--headshunt --sidings), not both"),
+    (("diameter", "--cards", "4", "--spec", "@classic.spec"),
+     "give the card flags (--cards) or the spec flags (--spec), not both"),
+    (("diameter", "--cards", "4", "--piles", "3 3 1", "--spec", "@classic.spec"),
+     "give the card flags (--cards --piles) or the spec flags (--spec), not both"),
+    (("diameter", "--piles", "3 3 1", "--wagons", "3"),
+     "give the card flags (--piles) or the spec flags (--wagons), not both"),
+])
+def test_spec_file_and_inline_plan_flags_are_not_mixed(fixtures_dir, argv, err):
+    # the spec file once won silently: `check --wagons 12` printed the
+    # 8-wagon verdict, and `diameter --cards 4` the 8-card graph
+    assert run_cli(*fixture_args(fixtures_dir, argv)) == (2, "", f"error: {err}\n")
+
+
+WIDE_START = "H:[]|S1:[" + ",".join(map(str, range(1, 256))) + "]|S2:[256]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("diameter", "--cards", "256", "--piles", "255 255 1"),
+    ("optimal", "--wagons", "256", "--headshunt", "2", "--sidings", "255 255",
+     "--start", WIDE_START, "--goal", "S2 = [1]"),
+    # before listing a goal family of more than 255! positions
+    ("worst", "--wagons", "256", "--headshunt", "2", "--sidings", "255 255",
+     "--start", WIDE_START, "--goal", "H = []"),
+])
+def test_searches_refuse_more_than_255_wagons_by_name(argv):
+    # a budget that admits the search reaches the move table, whose labels
+    # and places are bytes
+    code, out, err = run_cli(*argv, "--budget", str(10 ** 700))
+    assert (code, out) == (2, "")
+    assert err == "error: searches handle at most 255 wagons or cards, got 256\n"
+
+
+def test_gen_and_solve_work_past_255_wagons():
+    flags = ("--wagons", "256", "--headshunt", "2", "--sidings", "255 255 1")
+    code, out, err = run_cli("gen", *flags, "--start", "S3 = [256]", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.endswith("|S3:[256]\n")
+    code, out, err = run_cli("solve", *flags, "--start", WIDE_START + "|S3:[]",
+                             "--goal", "S3 = [256]")
+    assert (code, err) == (0, "")
+    assert out.endswith("|S3:[256]\n")
+
+# --- golden outputs ----------------------------------------------------------
+
+# Every subcommand and every consumer of goal patterns, with stdout, stderr
+# and exit code compared byte for byte against fixtures/golden/<name>.txt.
+# An argument that starts with "@" names a file under fixtures/.
+GOLDEN_SMALL = ("--wagons", "5", "--headshunt", "2", "--sidings", "2 2 2")
+GOLDEN_CLASSIC = ("--spec", "@classic.spec")
+GOLDEN_FAMILY = ("H = []; S1 ~ {1,2,3}; S2 = []; S3 = [4,5,6,7,8]\n"
+                 "H = []; S1 = []; S2 ~ {1,2,3}; S3 = [4,5,6,7,8]")
+GOLDEN = {
+    "check": ("check", *GOLDEN_CLASSIC),
+    "check_unsolvable": ("check", "--wagons", "9", "--headshunt", "3", "--sidings", "3 3 5"),
+    "gen_classic": ("gen", *GOLDEN_CLASSIC, "--start", "@classic_start.pattern",
+                    "--seed", "42"),
+    # seed 18 draws twice: its first draw also matches the first line
+    "gen_redraw": ("gen", *GOLDEN_SMALL, "--start", "S1 ~ {1,2}\nH = []", "--seed", "18"),
+    "gen_unsatisfiable": ("gen", *GOLDEN_SMALL, "--start", "S1 = [1,2,3]"),
+    "solve_family": ("solve", *GOLDEN_CLASSIC, "--start", "@solution17.start",
+                     "--goal", GOLDEN_FAMILY),
+    "solve_start_matches": ("solve", *GOLDEN_SMALL, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
+                            "--goal", "S1 = [2,1]\nS2 ~ {3,4}; S3 = [5]"),
+    "optimal_family": ("optimal", *GOLDEN_CLASSIC, "--start", "@solution17.start",
+                       "--goal", GOLDEN_FAMILY),
+    "optimal_exact": ("optimal", *GOLDEN_SMALL, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
+                      "--goal", "H:[]|S1:[5,4]|S2:[3,2]|S3:[1]"),
+    "optimal_unsatisfiable": ("optimal", *GOLDEN_SMALL,
+                              "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
+                              "--goal", "S1 = [1,2,3]"),
+    "worst_two_line": ("worst", *GOLDEN_SMALL, "--start", "H = []; S1 = []\nS3 ~ {4,5}",
+                       "--goal", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]"),
+    "worst_unreachable": ("worst", "--wagons", "2", "--headshunt", "5", "--sidings", "5",
+                          "--start", "*", "--goal", "H:[1,2]|S1:[]"),
+    "worst_unsatisfiable_start": ("worst", *GOLDEN_SMALL, "--start", "S1 = [1,2,3]",
+                                  "--goal", "*"),
+    "worst_unsatisfiable_goal": ("worst", *GOLDEN_SMALL, "--start", "*",
+                                 "--goal", "S1 ~ {1,2,3}"),
+    "diameter": ("diameter", "--cards", "4", "--piles", "3 3 1"),
+    "diameter_disconnected": ("diameter", "--cards", "3", "--piles", "3 3"),
+    "verify": ("verify", *GOLDEN_CLASSIC, "--start", "@solution17.start",
+               "--moves", "@solution17.moves"),
+    "verify_illegal": ("verify", *GOLDEN_SMALL, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
+                       "--moves", "PULL 1 S1\nPULL 9 S2"),
+}
+
+
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_outputs(fixtures_dir, name):
+    code, out, err = run_cli(*fixture_args(fixtures_dir, GOLDEN[name]))
+    got = f"exit = {code}\n--- stdout\n{out}--- stderr\n{err}"
+    assert got == (fixtures_dir / "golden" / f"{name}.txt").read_text()

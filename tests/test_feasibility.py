@@ -9,11 +9,14 @@ from hypothesis import given, settings
 
 from inglenook import (
     CardsSpec,
+    GoalPattern,
     PuzzleSpec,
     cards_connected,
+    count_positions,
     immovable_bottom,
     inglenook_solvable,
     max_wagons,
+    worst_case_moves,
 )
 from inglenook.feasibility import (
     BRANCH_INEQUALITY_FAIL,
@@ -195,6 +198,35 @@ def test_inglenook_verdict_matches_reachability_small_grid():
                     assert inglenook_solvable(spec).solvable == reach_all, spec
                     checked += 1
     assert checked > 50
+
+
+def _quick_grid_plans():
+    """h 1..5 and 1-4 sidings of non-decreasing capacities 1..4, then one
+    plan with unsorted sidings, with every w whose positions number at
+    most 2,000."""
+    plans = [(h, m) for h in range(1, 6) for s in range(1, 5)
+             for m in itertools.combinations_with_replacement(range(1, 5), s)]
+    for h, m in plans + [(2, (3, 1, 2))]:
+        for w in range(1, h + sum(m)):
+            spec = PuzzleSpec(w, h, m)
+            if count_positions(spec) <= 2000:
+                yield spec
+
+
+def test_inglenook_verdict_matches_one_sweep_quick_grid():
+    # a plan is connected exactly when one sweep from one position reaches
+    # every position, which is when the worst start has a distance
+    checked = boundary = 0
+    for spec in _quick_grid_plans():
+        goal = GoalPattern.exact_position(_natural_goal(spec))
+        report = worst_case_moves(spec, GoalPattern.all_positions(spec), goal)
+        verdict = inglenook_solvable(spec)
+        assert verdict.solvable == (report.distance is not None), spec
+        checked += 1
+        boundary += verdict.solvable and verdict.slack == 0 and spec.w > 1
+    # 1,453 sorted plans, 77 of them zero-slack solvable with w > 1, and
+    # five of the unsorted plan, one of them on the boundary
+    assert (checked, boundary) == (1458, 78)
 
 
 def test_capacity_boundary_analogue_is_connected():

@@ -44,6 +44,7 @@ from inglenook import (
     reversal_distance,
     solve_cards,
     solve_inglenook,
+    solve_to_pattern,
     search,
     worst_case_moves,
 )
@@ -63,6 +64,7 @@ from inglenook.search import (
     _card_moves,
     _codes,
     _compile_match,
+    _goal_test,
     _level,
     _next_level,
     _occupancies,
@@ -292,6 +294,10 @@ def test_plan_counts_lists_and_unranks_each_alternative(case):
         assert plan.code(0) == min(want)
         alone = GoalPattern((alt,))
         assert plan.count == sum(pattern_matches(spec, alone, p) for p in all_positions(spec))
+        # the plan's goal test accepts exactly the codes it lists
+        match = _goal_test([plan], codec.slot_mask)
+        assert all(map(match, want))
+        assert plan.count == sum(match(codec.encode(p.tracks)) for p in all_positions(spec))
 
 
 @given(specs_with_patterns())
@@ -305,6 +311,26 @@ def test_least_code_is_the_least_matching_code(case):
             least_code(spec, pattern, "it")
         return
     assert least_code(spec, pattern, "it") == min(codes)
+
+
+def test_each_search_compiles_each_pattern_once(monkeypatch):
+    # one conflict check per alternative, so one `_Plan` per satisfiable one
+    checked = []
+
+    def counted(spec, alt):
+        checked.append(alt)
+        return _alternative_conflict(spec, alt)
+
+    monkeypatch.setattr(search, "_alternative_conflict", counted)
+    two = parse_pattern(SMALL, "S1 ~ {1,2}; S3 = [3]\nS3 = [3]; H = []")
+    start = Position(((), (1, 2), (3, 4), ()))
+    goal = parse_pattern(SMALL, "H = []; S1 = [4,3]")
+    for solve, alternatives in ((lambda: worst_case_moves(SMALL, two, goal), 3),
+                                (lambda: optimal_solve(SMALL, start, two), 2),
+                                (lambda: solve_to_pattern(SMALL, start, two), 2)):
+        checked.clear()
+        solve()
+        assert len(checked) == alternatives, checked
 
 
 def test_sample_code_is_uniform_over_the_matching_positions():
