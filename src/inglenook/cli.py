@@ -147,6 +147,8 @@ def cmd_diameter(args) -> int:
             cspec = model.CardsSpec(args.cards, caps)
         except model.InvalidSpecError as exc:
             raise FormatError(str(exc)) from None
+    elif args.cards is not None:
+        raise FormatError("--cards needs --piles for the pile capacities")
     else:
         spec = _load_spec(args)
         cspec = model.cards_spec(spec)

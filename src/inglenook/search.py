@@ -10,9 +10,13 @@ move maps every state of a mask alike.  Reported distances, exploration
 counts, witnesses and tie-broken traces follow from that order, so they are
 reproducible bit-for-bit.  Shortest paths (`optimal_solve`,
 `cards_distance`) grow a start and a goal side until they meet, by
-`_shortest_layers`: a level maps each mask to the places of its states, and
-`_next_level` grows each (mask, move) bucket in one translate pass; goal
-tests, the goal family and the shortest-path layers stay on codes.  One
+`_shortest_layers`: a level maps each mask to the places of its states, a
+side labels states in a depth map (mask -> {places: depth}), and
+`_next_level` unites each child mask's translates once.  When the goal is
+one state with the start's mask, the goal side is the start side under the
+wagon renaming that takes the start to the goal, a graph automorphism, so
+it is read through that renaming and never grown.  Goal tests, the goal
+family and the shortest-path layers stay on codes.  One
 walker, `_first_path`, builds every reported path by the first move in table
 order into each next shortest-path layer: the optimal trace walks from the
 start to the finish a forward search alone would hit, then back over the
@@ -710,34 +714,73 @@ def _codes(moves: _MoveTable, level):
     return (moves.code(occ, places) for occ, group in level.items() for places in group)
 
 
-def _sets(level) -> dict[int, set[bytes]]:
-    return {occ: set(group) for occ, group in level.items()}
-
-
 def _size(level) -> int:
     return sum(map(len, level.values()))
 
 
-def _next_level(moves: _MoveTable, level, seen: dict, other: dict) -> tuple[dict, dict]:
-    """(nxt, meet): the place states one move from `level` that `seen`
-    lacks, added to `seen`, and those of them that `other` holds, by mask.
-    Each (mask, move) bucket grows whole, by a translate, a set difference
-    and an intersection.  Sets of bytes iterate in an order that follows the
-    hash seed, so nothing reported may depend on the order within a level.
-    """
-    nxt: dict[int, list[bytes]] = {}
-    meet: dict[int, set[bytes]] = {}
+def _drawn(moves: _MoveTable, level) -> dict:
+    """The place states one move from `level`, with repeats, as one
+    iterator of translates per child mask."""
+    into: dict[int, list] = {}
     for occ, group in level.items():
         for child, table in moves[occ]:
-            known = seen.setdefault(child, set())
-            grown = set(map(bytes.translate, group, itertools.repeat(table))).difference(known)
-            if grown:
-                known.update(grown)
-                nxt.setdefault(child, []).extend(grown)
-                hit = grown.intersection(other.get(child, ()))
-                if hit:
-                    meet.setdefault(child, set()).update(hit)
-    return nxt, meet
+            into.setdefault(child, []).append(map(bytes.translate, group, itertools.repeat(table)))
+    return {child: itertools.chain.from_iterable(found) for child, found in into.items()}
+
+
+def _next_level(moves: _MoveTable, level, depth: dict, d: int, probe) -> tuple[dict, dict]:
+    """(nxt, hits): the place states one move from `level` that the depth
+    map `depth` (mask -> {places: depth}) lacks, entered in it at depth d,
+    by mask, and `probe(child, grown)` of each child mask's new states,
+    where it is not empty, by mask.  A child mask's candidates are united
+    once, dropping the states `depth` holds as they are drawn.  Sets of
+    bytes iterate in an order that follows the hash seed, so nothing
+    reported may depend on the order within a level.
+    """
+    nxt: dict[int, tuple[bytes, ...]] = {}
+    hits: dict = {}
+    for child, drawn in _drawn(moves, level).items():
+        known = depth.setdefault(child, {})
+        grown = set(itertools.filterfalse(known.__contains__, drawn))
+        if grown:
+            known.update(dict.fromkeys(grown, d))
+            hit = probe(child, grown)
+            if hit:
+                hits[child] = hit
+            nxt[child] = tuple(grown)
+    return nxt, hits
+
+
+def _same(states):
+    return states
+
+
+def _depths(depth: dict, rename=_same, unname=_same):
+    """A function of a mask and some place states of it that maps each
+    state x whose `unname(x)` the depth map `depth` labels to that depth;
+    `rename` undoes `unname`."""
+    def of(occ: int, states) -> dict[bytes, int]:
+        known = depth.get(occ, {})
+        found = list(known.keys() & unname(states))
+        return dict(zip(rename(found), map(known.__getitem__, found)))
+    return of
+
+
+def _renaming(src: bytes, dst: bytes):
+    """The wagon renaming that takes place state `src` to `dst`, of one
+    mask, over an iterable of place states.  Places are by label, so it
+    permutes their positions: the image of x is x∘src⁻¹∘dst, one fixed
+    `bytes.translate` per state, through x's own table."""
+    ident = bytes(range(len(src)))
+    perm = dst.translate(bytes.maketrans(src, ident))
+    return lambda states: map(perm.translate, map(bytes.maketrans, itertools.repeat(ident), states))
+
+
+def _between(hits: dict, low: int, high: int) -> dict[int, list[bytes]]:
+    """The states of `hits` (mask -> {places: depth}) at depths low..high,
+    by mask."""
+    picked = {occ: [x for x, j in hit.items() if low <= j <= high] for occ, hit in hits.items()}
+    return {occ: group for occ, group in picked.items() if group}
 
 
 def _shortest_layers(moves: _MoveTable, first: int, match, family):
@@ -746,54 +789,96 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
     is None when no such code is reachable.
 
     Every move has an inverse, so the graph is undirected and a search from
-    both ends that stops where they meet is exact.  While the goal `family`,
-    an iterator over the matching codes, has more codes than the start
-    side's frontier, only the start side grows, and a level with matches is
-    a meeting whose matches are the goal side's only level; so at most
-    frontier + 1 goal codes are ever listed.  A listed family seeds the goal
-    side, and the side with the smaller frontier grows (the start side on a
-    tie) until a new level meets the other side's labels.  `explored` counts
-    the states either side labelled; the sides stay disjoint until they
-    meet, since every start-side level is goal-tested before the goal side
-    is seeded, so it never passes the number of states.
+    both ends that stops where they meet is exact.  The start side keeps a
+    depth map (mask -> {places: depth}) of the states it labelled and its
+    newest level, f_kf; the side whose newest level is smaller grows (the
+    start side on a tie) until a new level meets the other side's labels.
+    `explored` counts the states either side labelled; the sides stay
+    disjoint until they meet, so it never passes the number of states.
+    The layers are read back from the meeting, each the neighbours of the
+    last at the next depth of the side that labelled them.
+
+    When the goal `family`, an iterator over the matching codes, is one
+    code with the start's mask, the goal side is the start side renamed:
+    renaming wagons is a graph automorphism, so with σ the renaming that
+    takes the start to the goal, the goal side's level j is σ(f_j), and a
+    state x has goal depth j when σ⁻¹(x) has start depth j.  Only the start
+    side grows.  The goal side's newest level is f_kb: a start-side step
+    meets at the new states of goal depth at most kb, and a goal-side step
+    at the states of f_kf of goal depth kb + 1.
+
+    Otherwise the goal side is a second depth map.  While the family has
+    more codes than the start side's newest level, only the start side
+    grows, and a level with matches is a meeting whose matches are the
+    goal side's only level; so at most frontier + 1 goal codes are ever
+    listed.  A listed family seeds the goal side.
     """
-    goals: list[int] = []
-    fwd, bwd = [_level(moves, [first])], []
-    fseen, bseen = _sets(fwd[0]), {}
+    if match(first):
+        return [{first}], 1
+    occ, places = moves.state(first)
+    depth = {occ: {places: 0}}
+    front, sizes, bsizes = {occ: (places,)}, [1], []
+    goals = list(itertools.islice(family, 2))
+    mirrored = len(goals) == 1 and moves.state(goals[0])[0] == occ
+    goal_depths = _depths({})
+    if mirrored:
+        goal = moves.state(goals[0])[1]
+        rename = _renaming(places, goal)
+        if next(rename([places])) != goal:
+            raise InternalCheckError("the wagon renaming must take the start to the goal")
+        goal_depths = _depths(depth, rename, _renaming(goal, places))
+        bsizes.append(1)
     while True:
-        if not bwd:
-            meet = _level(moves, filter(match, _codes(moves, fwd[-1])))
-            frontier = _size(fwd[-1])
-            if not meet and len(goals) <= frontier:
-                goals.extend(itertools.islice(family, frontier + 1 - len(goals)))
-            if meet or len(goals) <= frontier:  # a meeting, or the whole family
-                bwd.append(meet or _level(moves, goals))
-                bseen = _sets(bwd[0])
+        if not bsizes and len(goals) <= sizes[-1]:  # the whole family
+            bfront = _level(moves, goals)
+            bdepth = {occ: dict.fromkeys(group, 0) for occ, group in bfront.items()}
+            goal_depths = _depths(bdepth)
+            bsizes.append(len(goals))
+        if not bsizes or sizes[-1] <= bsizes[-1]:
+            front, hits = _next_level(moves, front, depth, len(sizes), goal_depths)
+            sizes.append(_size(front))
+            meet = _between(hits, 0, len(bsizes) - 1)
+            if meet or not front:
+                break
+        elif mirrored:
+            bsizes.append(sizes[len(bsizes)])  # σ(f_kb+1) has |f_kb+1| states
+            meet = _between(hits, len(bsizes) - 1, len(bsizes) - 1)
             if meet:
                 break
-        if not bwd or _size(fwd[-1]) <= _size(bwd[-1]):
-            levels, seen, other = fwd, fseen, bseen
         else:
-            levels, seen, other = bwd, bseen, fseen
-        nxt, meet = _next_level(moves, levels[-1], seen, other)
-        levels.append(nxt)
-        if meet or not nxt:
-            break
-    explored = _size(fseen) + _size(bseen) - _size(meet)
+            bfront, meet = _next_level(moves, bfront, bdepth, len(bsizes), _depths(depth))
+            bsizes.append(_size(bfront))
+            if meet or not bfront:
+                break
+        if not bsizes:
+            meet = _level(moves, filter(match, _codes(moves, front)))
+            if meet:  # a meeting: the matches are the goal side's only level
+                bsizes.append(_size(meet))
+                break
+            if len(goals) <= sizes[-1]:
+                goals.extend(itertools.islice(family, sizes[-1] + 1 - len(goals)))
+    explored = sum(sizes) + sum(bsizes) - _size(meet)
     if not meet:
         return None, explored
 
     # The meeting states are the shortest-path states at distance kf from
-    # the start; layers[j] holds those at distance j, found through the
-    # stored levels of the side that labelled them.
-    kf, d = len(fwd) - 1, len(fwd) + len(bwd) - 2
+    # the start; layers[j] holds those at distance j.
+    kf = len(sizes) - 1
+    d = kf + len(bsizes) - 1
     layers: list = [None] * (d + 1)
     layers[kf] = meet
     for j in range(kf, 0, -1):
-        layers[j - 1] = _next_level(moves, layers[j], {}, _sets(fwd[j - 1]))[1]
+        layers[j - 1] = _next_depth(moves, layers[j], _depths(depth), j - 1)
     for j in range(kf, d):
-        layers[j + 1] = _next_level(moves, layers[j], {}, _sets(bwd[d - j - 1]))[1]
+        layers[j + 1] = _next_depth(moves, layers[j], goal_depths, d - j - 1)
     return [set(_codes(moves, layer)) for layer in layers], explored
+
+
+def _next_depth(moves: _MoveTable, layer, depths, d: int) -> dict[int, list[bytes]]:
+    """The place states one move from `layer` that `depths` (a `_depths`
+    function) puts at depth d, by mask."""
+    return _between({child: depths(child, set(drawn))
+                     for child, drawn in _drawn(moves, layer).items()}, d, d)
 
 
 def _reconstruct(spec: PuzzleSpec, levels, end: int, distance: int):

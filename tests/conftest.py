@@ -12,6 +12,8 @@ witnesses and `gen` samples follow.  `naive_worst` takes its sources and its
 start order from `matching_codes`, the package's enumerator, since that
 order decides the reported witness.  `naive_rank_table` builds a move's
 rank table the direct way, one translate and rank lookup per permutation.
+`naive_shortest_layers` and `naive_explored` read a shortest-path search's
+layers and labelled-state count off breadth-first distances from each end.
 """
 
 from __future__ import annotations
@@ -183,6 +185,54 @@ def naive_distances(spec: PuzzleSpec, start: Position) -> dict[Position, int]:
                 dist[q] = dist[p] + 1
                 queue.append(q)
     return dist
+
+
+def naive_shortest_layers(from_start: dict, from_goal: dict) -> list[set] | None:
+    """The layers of every shortest path between the sources of two
+    breadth-first distance maps: layer j holds the states x with
+    d(s, x) = j and d(x, g) = d - j, where d = d(s, g); None when the goal
+    is unreachable."""
+    d = from_start.get(_source(from_goal))
+    if d is None:
+        return None
+    layers = [set() for _ in range(d + 1)]
+    for x, j in from_start.items():
+        if from_goal.get(x) == d - j:
+            layers[j].add(x)
+    return layers
+
+
+def _source(dist: dict):
+    return next(x for x, j in dist.items() if j == 0)
+
+
+def naive_explored(from_start: dict, from_goal: dict) -> int:
+    """The states a search from both ends labels, replayed from the level
+    sizes of two breadth-first distance maps: the side whose newest level is
+    smaller grows, the start side on a tie, until a new level holds states
+    the other side labelled (the meeting) or is empty; every labelled state
+    counts once, so the meeting counts once."""
+    if _source(from_start) == _source(from_goal):
+        return 1
+    fsizes = [0] * (max(from_start.values()) + 2)
+    bsizes = [0] * (max(from_goal.values()) + 2)
+    for j in from_start.values():
+        fsizes[j] += 1
+    for j in from_goal.values():
+        bsizes[j] += 1
+    kf = kb = 0
+    while True:
+        if fsizes[kf] <= bsizes[kb]:
+            kf += 1
+            meet = [x for x, j in from_start.items() if j == kf and from_goal.get(x, kb + 1) <= kb]
+            if meet or not fsizes[kf]:
+                break
+        else:
+            kb += 1
+            meet = [x for x, j in from_goal.items() if j == kb and from_start.get(x, kf + 1) <= kf]
+            if meet or not bsizes[kb]:
+                break
+    return sum(fsizes[:kf + 1]) + sum(bsizes[:kb + 1]) - len(meet)
 
 
 def naive_first_match(spec: PuzzleSpec, start: Position, matches):

@@ -245,6 +245,13 @@ def test_diameter_cards_flags():
     assert "states = 168" in out
 
 
+def test_diameter_card_flags_need_each_other():
+    code, out, err = run_cli("diameter", "--cards", "4")
+    assert (code, out, err) == (2, "", "error: --cards needs --piles for the pile capacities\n")
+    code, out, err = run_cli("diameter", "--piles", "3 3 1")
+    assert (code, out, err) == (2, "", "error: --piles needs --cards for the card count\n")
+
+
 def test_diameter_disconnected_exits_one():
     code, _, err = run_cli("diameter", "--cards", "2", "--piles", "2 2")
     assert code == 1
@@ -571,6 +578,12 @@ GOLDEN = {
                        "--goal", GOLDEN_FAMILY),
     "optimal_exact": ("optimal", *GOLDEN_SMALL, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
                       "--goal", "H:[]|S1:[5,4]|S2:[3,2]|S3:[1]"),
+    # one goal with the start's track lengths: the published 20-move deal,
+    # and a start whose side runs out before the sides meet
+    "optimal_ordered20": ("optimal", *GOLDEN_CLASSIC, "--start", "@solution20.start",
+                          "--goal", "@ordered_goal.pattern"),
+    "optimal_unreachable": ("optimal", "--wagons", "2", "--headshunt", "5", "--sidings", "5",
+                            "--start", "H:[1,2]|S1:[]", "--goal", "H:[2,1]|S1:[]"),
     "optimal_unsatisfiable": ("optimal", *GOLDEN_SMALL,
                               "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
                               "--goal", "S1 = [1,2,3]"),

@@ -11,8 +11,10 @@ from inglenook import (
     CardsSpec,
     GoalPattern,
     PuzzleSpec,
+    cards_component_census,
     cards_connected,
     count_positions,
+    count_states,
     immovable_bottom,
     inglenook_solvable,
     max_wagons,
@@ -153,7 +155,7 @@ def test_immovable_bottom_matches_reachability(spec):
         assert immovable_seen
 
 
-# --- oracle equivalence grids (reduced; the full grids run in acceptance) ---
+# --- oracle equivalence grids (the 20,000-state grids are `slow`) -----------
 
 def _cards_grid(max_w, max_piles, max_cap):
     for npiles in range(2, max_piles + 1):
@@ -200,33 +202,74 @@ def test_inglenook_verdict_matches_reachability_small_grid():
     assert checked > 50
 
 
-def _quick_grid_plans():
+def _grid_plans(limit: int):
     """h 1..5 and 1-4 sidings of non-decreasing capacities 1..4, then one
     plan with unsorted sidings, with every w whose positions number at
-    most 2,000."""
+    most `limit`."""
     plans = [(h, m) for h in range(1, 6) for s in range(1, 5)
              for m in itertools.combinations_with_replacement(range(1, 5), s)]
     for h, m in plans + [(2, (3, 1, 2))]:
         for w in range(1, h + sum(m)):
             spec = PuzzleSpec(w, h, m)
-            if count_positions(spec) <= 2000:
+            if count_positions(spec) <= limit:
                 yield spec
 
 
-def test_inglenook_verdict_matches_one_sweep_quick_grid():
+def _check_grid(limit: int) -> tuple[int, int]:
     # a plan is connected exactly when one sweep from one position reaches
     # every position, which is when the worst start has a distance
     checked = boundary = 0
-    for spec in _quick_grid_plans():
+    for spec in _grid_plans(limit):
         goal = GoalPattern.exact_position(_natural_goal(spec))
         report = worst_case_moves(spec, GoalPattern.all_positions(spec), goal)
         verdict = inglenook_solvable(spec)
         assert verdict.solvable == (report.distance is not None), spec
         checked += 1
         boundary += verdict.solvable and verdict.slack == 0 and spec.w > 1
+    return checked, boundary
+
+
+def test_inglenook_verdict_matches_one_sweep_quick_grid():
     # 1,453 sorted plans, 77 of them zero-slack solvable with w > 1, and
     # five of the unsorted plan, one of them on the boundary
-    assert (checked, boundary) == (1458, 78)
+    assert _check_grid(2000) == (1458, 78)
+
+
+@pytest.mark.slow
+def test_inglenook_verdict_matches_one_sweep_full_grid():
+    # the quick grid's plans and 369 more, up to 20,000 positions each
+    assert _check_grid(20000) == (1827, 127)
+
+
+def _card_grid_plans(limit: int):
+    """2-5 piles of non-decreasing capacities 1..4, then one plan with
+    unsorted piles, with every w whose states number at most `limit`."""
+    plans = [m for n in range(2, 6) for m in itertools.combinations_with_replacement(range(1, 5), n)]
+    for m in plans + [(3, 1, 2)]:
+        for w in range(1, sum(m) + 1):
+            spec = CardsSpec(w, m)
+            if count_states(spec) <= limit:
+                yield spec
+
+
+def _check_card_grid(limit: int) -> tuple[int, int]:
+    checked = boundary = 0
+    for spec in _card_grid_plans(limit):
+        verdict = cards_connected(spec)
+        assert verdict.solvable == (cards_component_census(spec).components == 1), spec
+        checked += 1
+        boundary += verdict.solvable and verdict.slack == 0 and spec.w > 1
+    return checked, boundary
+
+
+def test_cards_connected_matches_the_census_quick_grid():
+    # 534 plans, 32 of them zero-slack connected with w > 1
+    assert _check_card_grid(2000) == (534, 32)
+
+
+@pytest.mark.slow
+def test_cards_connected_matches_the_census_full_grid():
+    assert _check_card_grid(20000) == (664, 48)
 
 
 def test_capacity_boundary_analogue_is_connected():

@@ -11,8 +11,11 @@ import ast
 import collections
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,12 +67,13 @@ from inglenook.search import (
     _card_moves,
     _codes,
     _compile_match,
+    _depths,
     _goal_test,
     _level,
     _next_level,
     _occupancies,
     _rank_table,
-    _sets,
+    _shortest_layers,
     _shunt_moves,
     least_code,
     pattern_conflicts,
@@ -87,8 +91,10 @@ from conftest import (
     naive_card_distances,
     naive_cards_components,
     naive_distances,
+    naive_explored,
     naive_first_match,
     naive_rank_table,
+    naive_shortest_layers,
     naive_worst,
     pattern_matches,
     patterns,
@@ -726,6 +732,56 @@ def test_cards_distance_matches_naive_bfs(case):
     assert cards_distance(spec, start, goal) == naive_card_distances(spec, start).get(goal)
 
 
+@st.composite
+def _renamed_pairs(draw):
+    """A small shunt or card spec of at least three wagons or cards, a
+    state, and that state renamed: one goal with the start's track lengths.
+    Renamings of one or two items are their own inverses."""
+    if draw(st.booleans()):
+        spec = draw(puzzle_specs(max_w=5, max_h=2, max_s=3, max_cap=2).filter(lambda p: p.w >= 3))
+        start = draw(positions(spec))
+        tracks = start.tracks
+    else:
+        spec = draw(cards_specs(max_w=5).filter(lambda c: c.w >= 3))
+        start = draw(card_states(spec))
+        tracks = start.piles
+    name = draw(st.permutations(range(1, spec.w + 1)))
+    return spec, start, type(start)(tuple(tuple(name[x - 1] for x in t) for t in tracks))
+
+
+@given(_renamed_pairs())
+@example((PuzzleSpec(2, 5, (5,)), Position(((1, 2), ())), Position(((2, 1), ()))))
+@example((CardsSpec(2, (2, 2)), CardsState(((1, 2), ())), CardsState(((2, 1), ()))))
+@example((SMALL, Position(((), (1, 2), (3, 4), ())), Position(((), (1, 2), (3, 4), ()))))
+@example((SMALL, Position(((), (1, 2), (3, 4), ())), Position(((), (2, 3), (1, 4), ()))))
+@settings(max_examples=80, deadline=None)
+def test_renamed_goal_layers_and_explored_match_the_oracles(case):
+    # the goal side is the start side renamed; the examples are two
+    # unreachable goals, a goal equal to the start and a three-cycle
+    spec, start, goal = case
+    if isinstance(spec, PuzzleSpec):
+        moves, codec, naive, tracks = (_shunt_moves(spec), position_codec(spec),
+                                       naive_distances, lambda p: p.tracks)
+    else:
+        moves, codec, naive, tracks = (_card_moves(spec), state_codec(spec),
+                                       naive_card_distances, lambda t: t.piles)
+    from_start, from_goal = naive(spec, start), naive(spec, goal)
+    want = naive_shortest_layers(from_start, from_goal)
+    first, dst = codec.encode(tracks(start)), codec.encode(tracks(goal))
+    layers, explored = _shortest_layers(moves, first, dst.__eq__, iter([dst]))
+    assert explored == naive_explored(from_start, from_goal)
+    if want is None:
+        assert layers is None
+    else:
+        assert layers == [{codec.encode(tracks(x)) for x in layer} for layer in want]
+    distance = None if want is None else len(want) - 1
+    if isinstance(spec, PuzzleSpec):
+        report = optimal_solve(spec, start, GoalPattern.exact_position(goal))
+        assert (report.distance, report.explored) == (distance, explored)
+    else:
+        assert cards_distance(spec, start, goal) == distance
+
+
 @pytest.mark.parametrize("w,expect", [(2, 6), (3, 14), (4, 26), (5, 36), (6, 54), (7, 68),
                                       (8, 90)])
 def test_reversal_distances(w, expect):
@@ -846,13 +902,18 @@ def test_card_rank_tables_are_the_naive_tables_in_order(spec):
 
 
 def _spheres(moves, code: int) -> list[set[int]]:
-    """The levels `_next_level` grows from one code, as sets of codes."""
+    """The levels `_next_level` grows from one code, as sets of codes; the
+    depth map it fills must put each state at its level."""
     level = _level(moves, [code])
-    seen, spheres = _sets(level), []
+    depth = {occ: dict.fromkeys(group, 0) for occ, group in level.items()}
+    spheres = []
     while level:
         spheres.append(set(_codes(moves, level)))
-        level, meet = _next_level(moves, level, seen, {})
-        assert meet == {}
+        level, hits = _next_level(moves, level, depth, len(spheres), _depths({}))
+        assert hits == {}
+    assert {moves.code(occ, places): j for occ, known in depth.items()
+            for places, j in known.items()} == {
+        c: j for j, sphere in enumerate(spheres) for c in sphere}
     return spheres
 
 
@@ -904,3 +965,30 @@ def test_search_checks_are_not_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_renaming_check_survives_python_O():
+    # `python -O` strips assert statements; a same-mask exact goal still
+    # searches one side, and a renaming that misses the goal is refused
+    script = (
+        "from inglenook import GoalPattern, Position, PuzzleSpec, optimal_solve, search\n"
+        "from inglenook.model import InternalCheckError\n"
+        "assert False, 'assert statements must be stripped'\n"
+        "spec = PuzzleSpec(4, 2, (2, 2, 1))\n"
+        "start = Position(((), (1, 2), (3, 4), ()))\n"
+        "goal = GoalPattern.exact_position(Position(((), (2, 3), (1, 4), ())))\n"
+        "report = optimal_solve(spec, start, goal)\n"
+        "print(report.distance, report.explored)\n"
+        "search._renaming = lambda src, dst: iter\n"
+        "try:\n"
+        "    optimal_solve(spec, start, goal)\n"
+        "except InternalCheckError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "7 66\nthe wagon renaming must take the start to the goal\n"
