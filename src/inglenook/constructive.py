@@ -210,10 +210,10 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
         if piles[target][0] == anchor:
             return out
 
-    # Stage two: open up two reserve piles outside the target pile.
-    while sum(spaces(i) for i in range(n) if i != target) < 2 and spaces(target):
-        src = min(i for i in range(n) if i != target and piles[i])
-        move(src, target)
+    # Stage two: open up two reserve piles outside the target pile, which
+    # holds the anchor above its bottom card, so this room is two or more.
+    if sum(spaces(i) for i in range(n) if i != target) < len(piles[target]):
+        raise InternalCheckError("the other piles must have room for the target pile")
     open_piles = [i for i in range(n) if i != target and spaces(i)]
     if len(open_piles) < 2:
         lone = open_piles[0]
@@ -223,8 +223,6 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
     first, second = open_piles[0], open_piles[1]
 
     # Stage three: uncover the anchor, leaving both reserves open.
-    if sum(spaces(i) for i in range(n) if i != target) < len(piles[target]):
-        raise InternalCheckError("the other piles must have room for the target pile")
     while piles[target][-1] != anchor:
         choices = [i for i in range(n) if i not in (target, first, second) and spaces(i)]
         if choices:

@@ -28,7 +28,8 @@ census, the diameter) run `_bfs_levels` on `_RankMoves`, the same tables on
 up front by `_rank_table` from blocks of the lexicographic ranks rather than
 permutation by permutation; a sweep keeps three levels and a 16-bit depth
 per state.  An exact card-pile diameter takes one sweep per pile-size
-composition: renaming cards is a graph automorphism.  A goal pattern
+composition, by `_eccentricities`, since renaming cards is a graph
+automorphism; a disconnected graph costs only its `_census`.  A goal pattern
 compiles once per search, by `_plans`, into one `_Plan` per satisfiable
 alternative, its one compiled form.  A plan holds a masked compare plus one
 set test per any-order track, from which `_goal_test` builds the goal
@@ -691,7 +692,8 @@ def _picker(ranks: tuple[int, ...]):
 
 
 def _level_states(depth: dict[int, memoryview], d: int):
-    """The (mask, rank) states `_bfs_levels` put at level d."""
+    """The (mask, rank) states `_bfs_levels` put at level d; d = -1 gives
+    those no sweep has recorded, read lazily past any sweep in between."""
     key = (d + 1).to_bytes(2, sys.byteorder)
     for occ, seen in depth.items():
         raw = seen.obj
@@ -1010,15 +1012,31 @@ def cards_component_census(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> 
     """Count connected components of the card-pile graph exhaustively."""
     total = _within_budget(budget, count_states(spec), "component census")
     ranks = _RankMoves(_card_moves(spec))
-    depth = _depth_map(ranks)
-    sizes = []
-    for occ, seen in depth.items():
-        for rank in range(len(seen)):
-            if not seen[rank]:
-                sizes.append(sum(_bfs_levels(ranks, [(occ, rank)], depth)))
+    return _census(ranks, _depth_map(ranks), [], total)
+
+
+def _census(ranks: _RankMoves, depth: dict[int, memoryview], sizes: list[int],
+            total: int) -> CensusReport:
+    """The census of the graph of `ranks`, `total` states, continued from
+    `depth`, which sweeps have filled for the components of `sizes`: one
+    more sweep from each state still unrecorded, in mask and rank order."""
+    for state in _level_states(depth, -1):
+        sizes.append(sum(_bfs_levels(ranks, [state], depth)))
     if sum(sizes) != total:
         raise InternalCheckError(f"the census visited {sum(sizes)} of {total} states")
     return CensusReport(total, len(sizes), tuple(sorted(sizes, reverse=True)))
+
+
+def _eccentricities(ranks: _RankMoves, occs, total: int):
+    """Yield the eccentricity of rank 0 of each mask of `occs`, one sweep
+    each; the first sweep that misses some of the `total` states hands its
+    depth map to `_census`, for the `DisconnectedGraphError` it raises."""
+    for occ in occs:
+        depth = _depth_map(ranks)
+        sizes = _bfs_levels(ranks, [(occ, 0)], depth)
+        if sum(sizes) != total:
+            raise DisconnectedGraphError(_census(ranks, depth, [sum(sizes)], total))
+        yield len(sizes) - 1
 
 
 def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
@@ -1040,21 +1058,13 @@ def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     composition, from cards 1..w dealt in order, covers every state.  The
     budget is checked against the states those searches visit: the number
     of compositions times the state count.  The graph is connected exactly
-    when a search reaches every state; only a disconnected graph is
-    censused, for the error it raises.
+    when a search reaches every state; a disconnected graph costs only its
+    census, which continues from the first search on the same rank tables.
     """
     total = count_states(spec)
-    shapes = _compositions(spec.m, spec.w)
-    _within_budget(budget, shapes * total, "all-sources diameter")
-
-    ranks = _RankMoves(_card_moves(spec))
-    diameter = 0
-    # rank 0 deals cards 1..w in order over a composition
-    for occ in ranks:
-        sizes = _bfs_levels(ranks, [(occ, 0)], _depth_map(ranks))
-        if sum(sizes) != total:
-            raise DisconnectedGraphError(cards_component_census(spec, budget=budget))
-        diameter = max(diameter, len(sizes) - 1)
+    _within_budget(budget, _compositions(spec.m, spec.w) * total, "all-sources diameter")
+    ranks = _RankMoves(_card_moves(spec))  # rank 0 deals cards 1..w in order
+    diameter = max(_eccentricities(ranks, ranks, total))
 
     lower_bound_family = spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1)
     if lower_bound_family and diameter < (spec.w * spec.w + 2) // 4:

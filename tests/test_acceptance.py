@@ -3,8 +3,8 @@ PASS line.  Run with `pytest -v -s tests/test_acceptance.py`.
 
 The classic-plan sweeps each label all 2,136,960 positions on rank tables
 and take a few seconds together; the classic optimal searches meet in the
-middle.  Both run in the quick loop; only the w = 8 card diameter, at
-3–5 s, is marked `slow`.
+middle.  Both run in the quick loop.  The w = 8 card diameter, at 3–5 s,
+is marked `slow`, as are the two full grids in `tests/test_feasibility.py`.
 """
 
 from __future__ import annotations

@@ -597,6 +597,10 @@ GOLDEN = {
                                  "--goal", "S1 ~ {1,2,3}"),
     "diameter": ("diameter", "--cards", "4", "--piles", "3 3 1"),
     "diameter_disconnected": ("diameter", "--cards", "3", "--piles", "3 3"),
+    # a plan's flags give its card graph
+    "diameter_plan": ("diameter", *GOLDEN_SMALL),
+    "diameter_plan_disconnected": ("diameter", "--wagons", "3", "--headshunt", "1",
+                                   "--sidings", "2 2"),
     "verify": ("verify", *GOLDEN_CLASSIC, "--start", "@solution17.start",
                "--moves", "@solution17.moves"),
     "verify_illegal": ("verify", *GOLDEN_SMALL, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
@@ -611,3 +615,8 @@ def test_golden_outputs(fixtures_dir, name):
     code, out, err = run_cli(*fixture_args(fixtures_dir, GOLDEN[name]))
     got = f"exit = {code}\n--- stdout\n{out}--- stderr\n{err}"
     assert got == (fixtures_dir / "golden" / f"{name}.txt").read_text()
+
+
+def test_golden_commands_are_the_recorded_files(fixtures_dir):
+    # no recorded file without its command, and no command without its file
+    assert set(GOLDEN) == {path.stem for path in (fixtures_dir / "golden").glob("*.txt")}

@@ -65,9 +65,12 @@ from inglenook.search import (
     _RankMoves,
     _alternative_conflict,
     _card_moves,
+    _census,
     _codes,
     _compile_match,
+    _depth_map,
     _depths,
+    _eccentricities,
     _goal_test,
     _level,
     _next_level,
@@ -694,6 +697,96 @@ def test_diameter_budget_counts_one_search_per_composition():
     with pytest.raises(BudgetExceededError) as err:
         cards_diameter(CardsSpec(5, (4, 4, 1)), budget=9719)
     assert err.value.estimate == 9720
+
+
+# --- census and eccentricities, on either move rule --------------------------
+
+def _naive_sizes(states, reach) -> tuple[int, ...]:
+    """Component sizes, descending, by naive reachability from each state
+    that no earlier one reached."""
+    left, sizes = set(states), []
+    for state in states:
+        if state in left:
+            found = reach(state)
+            left.difference_update(found)
+            sizes.append(len(found))
+    return tuple(sorted(sizes, reverse=True))
+
+
+def _check_census_and_eccentricities(ranks, states, decode, reach):
+    # the census against repeated naive reachability; on a connected graph
+    # each mask's eccentricity against the naive farthest state from its
+    # rank 0, and on a disconnected one the first sweep's census
+    total = len(states)
+    census = _census(ranks, _depth_map(ranks), [], total)
+    assert census.states == total
+    assert census.sizes == _naive_sizes(states, reach)
+    if census.components == 1:
+        want = [max(reach(decode(ranks.code(occ, 0))).values()) for occ in ranks]
+        assert list(_eccentricities(ranks, ranks, total)) == want
+    else:
+        with pytest.raises(DisconnectedGraphError) as err:
+            list(_eccentricities(ranks, ranks, total))
+        assert err.value.census == census
+    return census
+
+
+@given(puzzle_specs(max_w=4, max_h=2, max_s=3, max_cap=2))
+@example(PuzzleSpec(4, 2, (2, 2, 1)))  # connected, equal sidings
+@example(PuzzleSpec(4, 2, (2, 2)))  # below the threshold, equal sidings
+@settings(max_examples=30, deadline=None)
+def test_shunt_census_and_eccentricities_match_naive(spec):
+    codec = position_codec(spec)
+    _check_census_and_eccentricities(
+        _RankMoves(_shunt_moves(spec)), all_positions(spec),
+        lambda code: Position(codec.decode(code)), lambda p: naive_distances(spec, p))
+
+
+@given(cards_specs(max_w=4, max_piles=3, max_cap=3))
+@example(CardsSpec(3, (2, 2, 2)))  # connected, equal piles
+@example(CardsSpec(3, (3, 3)))  # below the threshold, equal piles
+@settings(max_examples=30, deadline=None)
+def test_card_census_and_eccentricities_match_naive(spec):
+    codec = state_codec(spec)
+    census = _check_census_and_eccentricities(
+        _RankMoves(_card_moves(spec)), all_card_states(spec),
+        lambda code: CardsState(codec.decode(code)), lambda s: naive_card_distances(spec, s))
+    assert census.components == naive_cards_components(spec)
+
+
+def test_shunt_eccentricities_on_the_zero_slack_plan():
+    spec = PuzzleSpec(5, 2, (2, 2, 2))
+    ranks = _RankMoves(_shunt_moves(spec))
+    assert max(_eccentricities(ranks, ranks, count_positions(spec))) == 16
+
+
+@pytest.mark.parametrize("spec,sweeps,diameter", [
+    (CardsSpec(3, (3, 3)), 6, None),  # 6 components of 4 states
+    (CardsSpec(6, (5, 5, 1)), 11, 27),  # 11 compositions
+])
+def test_diameter_builds_once_and_sweeps_each_composition_or_component(
+        monkeypatch, spec, sweeps, diameter):
+    # a disconnected graph's census goes on from the diameter's first sweep,
+    # on the same rank tables
+    bfs_levels, rank_moves, calls = search._bfs_levels, search._RankMoves, []
+
+    def swept(*args):
+        calls.append("sweep")
+        return bfs_levels(*args)
+
+    def built(*args):
+        calls.append("build")
+        return rank_moves(*args)
+
+    monkeypatch.setattr(search, "_bfs_levels", swept)
+    monkeypatch.setattr(search, "_RankMoves", built)
+    if diameter is None:
+        with pytest.raises(DisconnectedGraphError) as err:
+            cards_diameter(spec)
+        assert err.value.census.sizes == (4,) * 6
+    else:
+        assert cards_diameter(spec) == diameter
+    assert calls == ["build"] + ["sweep"] * sweeps
 
 
 def test_cards_distance_small():
