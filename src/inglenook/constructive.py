@@ -38,7 +38,7 @@ from .model import (
     validate_position,
     validate_state,
 )
-from .search import UnsatisfiablePatternError, _goal_test, _plans, least_code  # re-export
+from .search import _goal_test, _plans
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrac
     validate_position(spec, start)
     codec = position_codec(spec)
     plans = _plans(spec, pattern, "the goal pattern")
-    if _goal_test(plans, codec.slot_mask)(codec.encode(start.tracks)):
+    if _goal_test(plans)(codec.encode(start.tracks)):
         return SolutionTrace(start, start, ())
     best = min(plan.code(0) for plan in plans)
     return solve_inglenook(spec, start, Position(codec.decode(best)))

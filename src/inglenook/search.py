@@ -15,14 +15,16 @@ side labels states in a depth map (mask -> {places: depth}), and
 `_next_level` unites each child mask's translates once.  When the goal is
 one state with the start's mask, the goal side is the start side under the
 wagon renaming that takes the start to the goal, a graph automorphism, so
-it is read through that renaming and never grown.  Goal tests, the goal
-family and the shortest-path layers stay on codes.  One
-walker, `_first_path`, builds every reported path by the first move in table
-order into each next shortest-path layer: the optimal trace walks from the
-start to the finish a forward search alone would hit, then back over the
-reversed layers on the pushes-first table, which takes the first forward
-move in (siding, pull before push, count) order; `worst` walks from the
-first goal on a deepest path to its witness.  Full sweeps (`worst`, the
+it is read through that renaming and never grown.  The search, its layers
+and its walks stay on place states: codes appear only at the edges, as the
+start, the goal test, the listed goal family and the printed path.  One
+walker, `_first_path`, builds every reported path on states of either
+table, by the first move in table order into each next shortest-path
+layer: the optimal trace walks from the start to the finish a forward
+search alone would hit, then back over the reversed layers on the
+pushes-first table, which takes the first forward move in (siding, pull
+before push, count) order; `worst` walks from the first goal on a deepest
+path to its witness.  Full sweeps (`worst`, the
 census, the diameter) run `_bfs_levels` on `_RankMoves`, the same tables on
 (mask, label-order rank) states, where a move is one list of w! ranks, built
 up front by `_rank_table` from blocks of the lexicographic ranks rather than
@@ -35,8 +37,8 @@ alternative, its one compiled form.  A plan holds a masked compare plus one
 set test per any-order track, from which `_goal_test` builds the goal
 predicate, and indexes the codes it allows in one order: it counts them
 and builds the one at any index by unranking wagon orders, so it lists
-them (`matching_codes`, index by index), samples one (`sample_code`, for
-`gen`) and names the least (`least_code`, the target of `solve_to_pattern`).
+them (`matching_codes`, index by index) and samples one (`sample_code`, for
+`gen`), and its index 0 is its least, the target of `solve_to_pattern`.
 Budgets are checked once, up front, by `_within_budget`, against every state
 a search could label, so the kernels take no budget.
 """
@@ -267,10 +269,10 @@ def _alternative_conflict(spec: PuzzleSpec, alt: tuple[TrackRule, ...]) -> str |
 def matching_codes(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> list[int]:
     """Codes of every valid position matching the pattern, in enumeration
     order; refuses a pattern that no position matches, naming it `what`."""
-    return list(_iter_codes(_plans(spec, pattern, what), position_codec(spec).slot_mask))
+    return list(_iter_codes(_plans(spec, pattern, what)))
 
 
-def _iter_codes(plans: list[_Plan], slot: int):
+def _iter_codes(plans: list[_Plan]):
     """Yield the codes the plans allow, lazily, in plan order.
 
     A position matching several plans is yielded once, under the first of
@@ -279,7 +281,7 @@ def _iter_codes(plans: list[_Plan], slot: int):
     for k, plan in enumerate(plans):
         found = map(plan.code, range(plan.count))
         if k:
-            found = itertools.filterfalse(_goal_test(plans[:k], slot), found)
+            found = itertools.filterfalse(_goal_test(plans[:k]), found)
         yield from found
 
 
@@ -293,7 +295,6 @@ def sample_code(spec: PuzzleSpec, pattern: GoalPattern, rng, what: str) -> int:
     single-alternative pattern takes one `rng.randrange` call.
     """
     plans = _plans(spec, pattern, what)
-    slot = position_codec(spec).slot_mask
     total = sum(plan.count for plan in plans)
     while True:
         i = rng.randrange(total)
@@ -302,17 +303,11 @@ def sample_code(spec: PuzzleSpec, pattern: GoalPattern, rng, what: str) -> int:
                 break
             i -= plan.count
         code = plan.code(i)
-        if not _goal_test(plans[:k], slot)(code):
+        if not _goal_test(plans[:k])(code):
             break
-    if not _goal_test([plan], slot)(code):
+    if not _goal_test([plan])(code):
         raise InternalCheckError(f"the drawn position does not match {what}")
     return code
-
-
-def least_code(spec: PuzzleSpec, pattern: GoalPattern, what: str) -> int:
-    """`min(matching_codes(spec, pattern, what))`, without listing them:
-    each alternative's least code is its `_Plan`'s index 0."""
-    return min(plan.code(0) for plan in _plans(spec, pattern, what))
 
 
 def _plans(spec: PuzzleSpec, pattern: GoalPattern, what: str | None = None) -> list[_Plan]:
@@ -327,19 +322,14 @@ def _plans(spec: PuzzleSpec, pattern: GoalPattern, what: str | None = None) -> l
     return plans
 
 
-def _compile_match(spec: PuzzleSpec, pattern: GoalPattern):
-    """The goal test of a pattern, over position codes."""
-    return _goal_test(_plans(spec, pattern), position_codec(spec).slot_mask)
-
-
-def _goal_test(plans: list[_Plan], slot: int):
+def _goal_test(plans: list[_Plan]):
     """A predicate over codes: whether some plan matches, by its masked
     compare against `base`, then its set tests.  It closes over tuples
     taken from the plans once, so a code costs no attribute lookups."""
-    compiled = [(plan.mask, plan.base, plan.sets) for plan in plans]
+    compiled = [(plan.mask, plan.base, plan.sets, plan.slot) for plan in plans]
 
     def match(code: int) -> bool:
-        for mask, value, sets in compiled:
+        for mask, value, sets, slot in compiled:
             if code & mask == value and all(
                 {(code >> shift) & slot for shift in shifts} == wanted
                 for shifts, wanted in sets
@@ -356,7 +346,8 @@ class _Plan:
     from the codec's slot shifts, and the test of whether a code is one: it
     equals `base`, the exact tracks, on `mask`, the slots that no run fills
     (the exact and empty tracks and the slots past each any-order run), and
-    each any-order run's leading slots, by their shifts, hold its `sets`.
+    each any-order run's leading slots, read by their shifts and the
+    codec's `slot` mask, hold its `sets`.
 
     An index is a mixed-radix number.  The orders of the any-order tracks
     are its slowest digits (k! each, in track order), then the permutation
@@ -370,9 +361,10 @@ class _Plan:
     layout fills it.
     """
 
-    __slots__ = ("base", "mask", "sets", "loose", "layouts", "count")
+    __slots__ = ("base", "mask", "slot", "sets", "loose", "layouts", "count")
 
     def __init__(self, codec, alt: tuple[TrackRule, ...], w: int):
+        self.slot = codec.slot_mask
         self.base = codec.encode([rule.wagons if rule.kind == EXACT else () for rule in alt])
         pinned = {x for rule in alt if rule.kind in (EXACT, SET_ANY_ORDER) for x in rule.wagons}
         self.sets = [(_leading_shifts(codec, i, len(rule.wagons)), frozenset(rule.wagons))
@@ -511,10 +503,10 @@ class _MoveTable(dict):
         table = bytes.maketrans(places + b"\xff", self._labels + b"\0")
         return int.from_bytes(self._gather(occ).translate(table), "big")
 
-    def children(self, code: int) -> list[int]:
-        """The children of `code`, in table order."""
-        occ, places = self.state(code)
-        return [self.code(child, places.translate(t)) for child, t in self[occ]]
+    def children(self, state: tuple[int, bytes]) -> list[tuple[int, bytes]]:
+        """The children of place state `state`, in table order."""
+        occ, places = state
+        return [(child, places.translate(t)) for child, t in self[occ]]
 
 
 def _shunt_moves(spec: PuzzleSpec, *, pushes_first: bool = False) -> _MoveTable:
@@ -536,11 +528,11 @@ def _card_moves(spec: CardsSpec) -> _MoveTable:
 
 
 def _first_path(moves, first, layers) -> list:
-    """The path from `first` that takes, at every step, the first move in
-    the table order of `moves` (a `_MoveTable` over codes or a `_RankMoves`
-    over (mask, rank) states) into the next of the shortest-path `layers`;
-    its end is the one a forward level-order search from `first` reaches
-    first."""
+    """The path from state `first` that takes, at every step, the first
+    move in the table order of `moves` (a `_MoveTable` over (mask, places)
+    states or a `_RankMoves` over (mask, rank) states) into the next of the
+    shortest-path `layers`, sets of such states; its end is the one a
+    forward level-order search from `first` reaches first."""
     path = [first]
     for layer in layers[1:]:
         for child in moves.children(path[-1]):
@@ -712,10 +704,6 @@ def _level(moves: _MoveTable, codes) -> dict[int, list[bytes]]:
     return level
 
 
-def _codes(moves: _MoveTable, level):
-    return (moves.code(occ, places) for occ, group in level.items() for places in group)
-
-
 def _size(level) -> int:
     return sum(map(len, level.values()))
 
@@ -786,15 +774,16 @@ def _between(hits: dict, low: int, high: int) -> dict[int, list[bytes]]:
 
 
 def _shortest_layers(moves: _MoveTable, first: int, match, family):
-    """(layers, explored): `layers[j]` holds the codes at distance j from
-    `first` on a shortest path to a code that `match` accepts, and layers
-    is None when no such code is reachable.
+    """(layers, explored): `layers[j]` holds the place states at distance
+    j from the code `first` on a shortest path to a code that `match`
+    accepts, and layers is None when no such code is reachable.
 
     Every move has an inverse, so the graph is undirected and a search from
     both ends that stops where they meet is exact.  The start side keeps a
     depth map (mask -> {places: depth}) of the states it labelled and its
     newest level, f_kf; the side whose newest level is smaller grows (the
-    start side on a tie) until a new level meets the other side's labels.
+    start side on a tie) until a new level meets the other side's labels,
+    which a start-side step reads through one probe of goal depths.
     `explored` counts the states either side labelled; the sides stay
     disjoint until they meet, so it never passes the number of states.
     The layers are read back from the meeting, each the neighbours of the
@@ -811,18 +800,21 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
 
     Otherwise the goal side is a second depth map.  While the family has
     more codes than the start side's newest level, only the start side
-    grows, and a level with matches is a meeting whose matches are the
+    grows, the probe puts each new state whose code `match` accepts at goal
+    depth 0, and a level with matches is a meeting whose matches are the
     goal side's only level; so at most frontier + 1 goal codes are ever
     listed.  A listed family seeds the goal side.
     """
-    if match(first):
-        return [{first}], 1
     occ, places = moves.state(first)
+    if match(first):
+        return [{(occ, places)}], 1
     depth = {occ: {places: 0}}
     front, sizes, bsizes = {occ: (places,)}, [1], []
     goals = list(itertools.islice(family, 2))
     mirrored = len(goals) == 1 and moves.state(goals[0])[0] == occ
-    goal_depths = _depths({})
+
+    def goal_depths(occ: int, states) -> dict[bytes, int]:  # the family, not yet listed
+        return dict.fromkeys([x for x in states if match(moves.code(occ, x))], 0)
     if mirrored:
         goal = moves.state(goals[0])[1]
         rename = _renaming(places, goal)
@@ -839,7 +831,7 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
         if not bsizes or sizes[-1] <= bsizes[-1]:
             front, hits = _next_level(moves, front, depth, len(sizes), goal_depths)
             sizes.append(_size(front))
-            meet = _between(hits, 0, len(bsizes) - 1)
+            meet = _between(hits, 0, max(len(bsizes) - 1, 0))
             if meet or not front:
                 break
         elif mirrored:
@@ -852,13 +844,10 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
             bsizes.append(_size(bfront))
             if meet or not bfront:
                 break
-        if not bsizes:
-            meet = _level(moves, filter(match, _codes(moves, front)))
-            if meet:  # a meeting: the matches are the goal side's only level
-                bsizes.append(_size(meet))
-                break
-            if len(goals) <= sizes[-1]:
-                goals.extend(itertools.islice(family, sizes[-1] + 1 - len(goals)))
+        if not bsizes and len(goals) <= sizes[-1]:
+            goals.extend(itertools.islice(family, sizes[-1] + 1 - len(goals)))
+    if not bsizes:  # met before the family was listed: the matches are the goal side
+        bsizes.append(_size(meet))
     explored = sum(sizes) + sum(bsizes) - _size(meet)
     if not meet:
         return None, explored
@@ -873,7 +862,7 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
         layers[j - 1] = _next_depth(moves, layers[j], _depths(depth), j - 1)
     for j in range(kf, d):
         layers[j + 1] = _next_depth(moves, layers[j], goal_depths, d - j - 1)
-    return [set(_codes(moves, layer)) for layer in layers], explored
+    return [{(occ, x) for occ, group in layer.items() for x in group} for layer in layers], explored
 
 
 def _next_depth(moves: _MoveTable, layer, depths, d: int) -> dict[int, list[bytes]]:
@@ -883,21 +872,22 @@ def _next_depth(moves: _MoveTable, layer, depths, d: int) -> dict[int, list[byte
                      for child, drawn in _drawn(moves, layer).items()}, d, d)
 
 
-def _reconstruct(spec: PuzzleSpec, levels, end: int, distance: int):
-    """Walk an optimal path backwards, preferring at each step the forward
-    move with the smallest (siding, pull-before-push, count) triple.
-    `levels[j]` holds codes at distance j from the start, at least every
-    one on a shortest path to `end`.  Each move is read off the siding and
-    the headshunt whose lengths change between two neighbours."""
-    codec = position_codec(spec)
-    back = _first_path(_shunt_moves(spec, pushes_first=True), end, levels[distance::-1])
-    path = [codec.decode(code) for code in reversed(back)]
+def _reconstruct(spec: PuzzleSpec, layers, end) -> SolutionTrace:
+    """An optimal trace to place state `end`, walked backwards, preferring
+    at each step the forward move with the smallest (siding, pull-before-
+    push, count) triple.  `layers[j]` holds place states at distance j from
+    the start, at least every one on a shortest path to `end`, the last.
+    Only the path is decoded; each move is read off the siding and the
+    headshunt whose lengths change between two neighbours."""
+    back_moves = _shunt_moves(spec, pushes_first=True)
+    back = _first_path(back_moves, end, layers[::-1])
+    path = [back_moves.codec.decode(back_moves.code(*state)) for state in reversed(back)]
     moves = []
     for pred, cur in zip(path, path[1:]):
         siding = next(r for r in range(1, spec.s + 1) if len(pred[r]) != len(cur[r]))
         gain = len(cur[0]) - len(pred[0])
         moves.append(ShuntMove(siding, PULL if gain > 0 else PUSH, abs(gain)))
-    return moves, Position(path[0])
+    return SolutionTrace(Position(path[0]), Position(path[-1]), tuple(moves))
 
 
 @dataclass
@@ -926,23 +916,18 @@ def optimal_solve(spec: PuzzleSpec, start: Position, goal: GoalPattern, *,
     `_shortest_layers`; an unreachable goal gives a report, not an error."""
     validate_position(spec, start)
     _within_budget(budget, count_positions(spec), "optimal search")
-    codec = position_codec(spec)
     moves = _shunt_moves(spec)
-    first = codec.encode(start.tracks)
+    first = moves.codec.encode(start.tracks)
     plans = _plans(spec, goal)
-    layers, explored = _shortest_layers(
-        moves, first, _goal_test(plans, codec.slot_mask), _iter_codes(plans, codec.slot_mask)
-    )
+    layers, explored = _shortest_layers(moves, first, _goal_test(plans), _iter_codes(plans))
     if layers is None:
         return SearchReport(None, None, explored)
-    hit = _first_path(moves, first, layers)[-1]
-    distance = len(layers) - 1
-    trace_moves, origin = _reconstruct(spec, layers, hit, distance)
-    if origin != start:
+    trace = _reconstruct(spec, layers, _first_path(moves, moves.state(first), layers)[-1])
+    if trace.start != start:
         raise InternalCheckError("the optimal trace must lead back to the start")
-    trace = SolutionTrace(start, Position(codec.decode(hit)), tuple(trace_moves))
-    # the moves are read off code pairs, so replay them by the move rule
-    return SearchReport(distance, _check_trace(_replay_steps, spec, trace, "optimal"), explored)
+    # the moves are read off position pairs, so replay them by the move rule
+    return SearchReport(len(layers) - 1, _check_trace(_replay_steps, spec, trace, "optimal"),
+                        explored)
 
 
 def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPattern, *,
@@ -966,7 +951,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     goals = matching_codes(spec, goal, "the goal pattern")
     starts = _plans(spec, start_pattern, "the start pattern")
     codec = position_codec(spec)
-    smatch = _goal_test(starts, codec.slot_mask)
+    smatch = _goal_test(starts)
     ranks = _RankMoves(moves)
     depth = _depth_map(ranks)
     sizes = _bfs_levels(ranks, map(ranks.state, goals), depth)
@@ -975,7 +960,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     if explored < total:
         # Some positions cannot reach the goal set at all; report the first
         # matching start among them, if any.
-        for code in _iter_codes(starts, codec.slot_mask):
+        for code in _iter_codes(starts):
             occ, rank = ranks.state(code)
             if not depth[occ][rank]:
                 return WorstCaseReport(None, Position(codec.decode(code)), explored)

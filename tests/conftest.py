@@ -173,10 +173,11 @@ def _rule_matches(rule: TrackRule, track: tuple[int, ...]) -> bool:
     return len(track) == len(rule.wagons) and set(track) == set(rule.wagons)
 
 
-def naive_distances(spec: PuzzleSpec, start: Position) -> dict[Position, int]:
-    """Plain breadth-first distances using only model-level operations."""
-    dist = {start: 0}
-    queue = deque([start])
+def naive_distances(spec: PuzzleSpec, *sources: Position) -> dict[Position, int]:
+    """Plain breadth-first distances from the nearest of `sources`, using
+    only model-level operations."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(sources)
     while queue:
         p = queue.popleft()
         for mv in legal_moves(spec, p):
@@ -208,19 +209,27 @@ def _source(dist: dict):
 
 def naive_explored(from_start: dict, from_goal: dict) -> int:
     """The states a search from both ends labels, replayed from the level
-    sizes of two breadth-first distance maps: the side whose newest level is
-    smaller grows, the start side on a tie, until a new level holds states
-    the other side labelled (the meeting) or is empty; every labelled state
-    counts once, so the meeting counts once."""
-    if _source(from_start) == _source(from_goal):
+    sizes of two breadth-first distance maps, the goal's from every goal
+    state at once.  While the goal family outnumbers the start side's
+    newest level, the start side grows alone and a new level holding goal
+    states is the meeting.  Then the family seeds the goal side: the side
+    whose newest level is smaller grows, the start side on a tie, until a
+    new level holds states the other side labelled (the meeting) or is
+    empty.  Every labelled state counts once, so the meeting counts once."""
+    if from_goal.get(_source(from_start)) == 0:
         return 1
     fsizes = [0] * (max(from_start.values()) + 2)
-    bsizes = [0] * (max(from_goal.values()) + 2)
+    bsizes = [0] * (max(from_goal.values(), default=0) + 2)
     for j in from_start.values():
         fsizes[j] += 1
     for j in from_goal.values():
         bsizes[j] += 1
     kf = kb = 0
+    while bsizes[0] > fsizes[kf]:
+        kf += 1
+        meet = [x for x, j in from_start.items() if j == kf and from_goal.get(x) == 0]
+        if meet or not fsizes[kf]:
+            return sum(fsizes[:kf + 1])
     while True:
         if fsizes[kf] <= bsizes[kb]:
             kf += 1

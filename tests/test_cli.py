@@ -138,10 +138,11 @@ def test_optimal_unsatisfiable_goal_exits_one(tmp_path):
 
 
 def test_failed_internal_check_exits_four(tmp_path, monkeypatch):
-    from inglenook import Position, search
+    from inglenook import Position, SolutionTrace, search
 
-    def wrong_origin(spec, levels, end, distance):
-        return [], Position(((), (2, 1), (3, 4), ()))
+    def wrong_origin(spec, layers, end):
+        wrong = Position(((), (2, 1), (3, 4), ()))
+        return SolutionTrace(wrong, wrong, ())
 
     monkeypatch.setattr(search, "_reconstruct", wrong_origin)
     spec = write(tmp_path, "s.spec", SMALL_SPEC)
@@ -156,15 +157,18 @@ def test_failed_internal_check_exits_four(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("wrong", ["truncated", "illegal"])
 def test_trace_that_does_not_replay_exits_four(tmp_path, monkeypatch, wrong):
+    from dataclasses import replace
+
     from inglenook import PUSH, ShuntMove, search
 
     reconstruct = search._reconstruct
 
-    def wrong_moves(spec, levels, end, distance):
-        moves, origin = reconstruct(spec, levels, end, distance)
+    def wrong_moves(spec, layers, end):
+        trace = reconstruct(spec, layers, end)
         if wrong == "truncated":
-            return moves[:-1], origin
-        return [ShuntMove(1, PUSH, 1)] + moves, origin  # the headshunt starts empty
+            return replace(trace, moves=trace.moves[:-1])
+        # the headshunt starts empty
+        return replace(trace, moves=(ShuntMove(1, PUSH, 1),) + trace.moves)
 
     monkeypatch.setattr(search, "_reconstruct", wrong_moves)
     spec = write(tmp_path, "s.spec", SMALL_SPEC)
@@ -584,6 +588,10 @@ GOLDEN = {
                           "--goal", "@ordered_goal.pattern"),
     "optimal_unreachable": ("optimal", "--wagons", "2", "--headshunt", "5", "--sidings", "5",
                             "--start", "H:[1,2]|S1:[]", "--goal", "H:[2,1]|S1:[]"),
+    # a 40,320-position family that the start side meets before listing it
+    "optimal_lazy_family": ("optimal", *GOLDEN_CLASSIC,
+                            "--start", "H:[1,2,3]|S1:[4,5,6]|S2:[7]|S3:[8]",
+                            "--goal", "H = []; S1 = []"),
     "optimal_unsatisfiable": ("optimal", *GOLDEN_SMALL,
                               "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
                               "--goal", "S1 = [1,2,3]"),

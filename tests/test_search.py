@@ -66,8 +66,6 @@ from inglenook.search import (
     _alternative_conflict,
     _card_moves,
     _census,
-    _codes,
-    _compile_match,
     _depth_map,
     _depths,
     _eccentricities,
@@ -75,10 +73,10 @@ from inglenook.search import (
     _level,
     _next_level,
     _occupancies,
+    _plans,
     _rank_table,
     _shortest_layers,
     _shunt_moves,
-    least_code,
     pattern_conflicts,
     sample_code,
 )
@@ -265,7 +263,7 @@ def test_pattern_enumeration_with_sixteen_bit_slots():
 def test_compiled_goal_agrees_with_object_level_match(case):
     spec, pattern = case
     codec = position_codec(spec)
-    match = _compile_match(spec, pattern)
+    match = _goal_test(_plans(spec, pattern))
     for p in all_positions(spec):
         assert match(codec.encode(p.tracks)) == pattern_matches(spec, pattern, p), p
 
@@ -304,7 +302,7 @@ def test_plan_counts_lists_and_unranks_each_alternative(case):
         alone = GoalPattern((alt,))
         assert plan.count == sum(pattern_matches(spec, alone, p) for p in all_positions(spec))
         # the plan's goal test accepts exactly the codes it lists
-        match = _goal_test([plan], codec.slot_mask)
+        match = _goal_test([plan])
         assert all(map(match, want))
         assert plan.count == sum(match(codec.encode(p.tracks)) for p in all_positions(spec))
 
@@ -312,14 +310,15 @@ def test_plan_counts_lists_and_unranks_each_alternative(case):
 @given(specs_with_patterns())
 @settings(max_examples=150, deadline=None)
 def test_least_code_is_the_least_matching_code(case):
+    # each alternative's least code is its plan's index 0: `solve`'s target
     spec, pattern = case
     try:
         codes = matching_codes(spec, pattern, "it")
     except UnsatisfiablePatternError as exc:
         with pytest.raises(UnsatisfiablePatternError, match=f"^{re.escape(str(exc))}$"):
-            least_code(spec, pattern, "it")
+            _plans(spec, pattern, "it")
         return
-    assert least_code(spec, pattern, "it") == min(codes)
+    assert min(plan.code(0) for plan in _plans(spec, pattern, "it")) == min(codes)
 
 
 def test_each_search_compiles_each_pattern_once(monkeypatch):
@@ -402,6 +401,35 @@ def test_optimal_goal_family_keeps_the_forward_hit(data):
     assert list(report.trace.moves) == _first_forward_moves_back(spec, dist, finish)
 
 
+@st.composite
+def _specs_with_starts_and_patterns(draw):
+    spec, pattern = draw(specs_with_patterns())
+    return spec, draw(positions(spec)), pattern
+
+
+_TWO_IN_ONE_SIDING = PuzzleSpec(2, 2, (2,))  # disconnected: the order never changes
+
+
+@given(_specs_with_starts_and_patterns())
+@example((SMALL, Position(((), (1, 2), (3, 4), ())), parse_pattern(SMALL, "S1 = [1,2,3]")))
+@example((SMALL, Position(((), (1, 2), (3, 4), ())), parse_pattern(SMALL, "S3 = [1]")))
+@example((SMALL, Position(((), (1, 2), (3, 4), ())),
+          parse_pattern(SMALL, "S1 = [2,1]; S2 = [3,4]\nS1 = [4,3]; S2 = [1,2]")))
+@example((_TWO_IN_ONE_SIDING, Position(((), (1, 2))),
+          parse_pattern(_TWO_IN_ONE_SIDING, "H = [2]; S1 = [1]\nH = [2,1]")))
+@example((_TWO_IN_ONE_SIDING, Position(((), (1, 2))),
+          parse_pattern(_TWO_IN_ONE_SIDING, "H = [2]; S1 = [1]\nH = [2,1]\nS1 = [2,1]")))
+@settings(max_examples=150, deadline=None)
+def test_optimal_family_explored_matches_the_oracle(case):
+    # the states labelled while the family is met lazily and after it seeds
+    # the goal side; the examples are an empty family, one met lazily, one
+    # that seeds the goal side and two unreachable ones, seeded and not
+    spec, start, pattern = case
+    family = [p for p in all_positions(spec) if pattern_matches(spec, pattern, p)]
+    want = naive_explored(naive_distances(spec, start), naive_distances(spec, *family))
+    assert optimal_solve(spec, start, pattern).explored == want
+
+
 @pytest.mark.parametrize("spec,start,finish,distance", [
     (PuzzleSpec(4, 4, (3, 3, 1)),
      "H:[2]|S1:[1]|S2:[4]|S3:[3]", "H:[3]|S1:[4]|S2:[2]|S3:[1]", 7),
@@ -461,7 +489,7 @@ def test_compiled_goal_with_labels_past_the_slot_high_bit():
     ]
     seen = set()
     for pattern in patterns:
-        match = _compile_match(spec, pattern)
+        match = _goal_test(_plans(spec, pattern))
         for p in starts:
             got = match(codec.encode(p.tracks))
             assert got == pattern_matches(spec, pattern, p), (pattern, p)
@@ -866,7 +894,8 @@ def test_renamed_goal_layers_and_explored_match_the_oracles(case):
     if want is None:
         assert layers is None
     else:
-        assert layers == [{codec.encode(tracks(x)) for x in layer} for layer in want]
+        assert [_codes(moves, layer) for layer in layers] == [
+            {codec.encode(tracks(x)) for x in layer} for layer in want]
     distance = None if want is None else len(want) - 1
     if isinstance(spec, PuzzleSpec):
         report = optimal_solve(spec, start, GoalPattern.exact_position(goal))
@@ -927,22 +956,32 @@ def test_reversal_ordering_displacement_matches_closed_form():
 
 # --- move table -------------------------------------------------------------
 
+def _codes(moves, states) -> set[int]:
+    """The codes of some place states of `moves`."""
+    return {moves.code(*state) for state in states}
+
+
+def _child_codes(moves, code: int) -> list[int]:
+    """The codes of the children of `code`, in table order."""
+    return [moves.code(*state) for state in moves.children(moves.state(code))]
+
+
 @given(specs_with_positions())
 @settings(max_examples=200, deadline=None)
 def test_shunt_table_matches_reference_rule_in_order(case):
     # `children` translates p's places by its mask's place-table entry, which
-    # is built from one state of that mask, and maps them back to codes
+    # is built from one state of that mask; `_child_codes` reads them as codes
     spec, p = case
     codec = position_codec(spec)
     want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
     code = codec.encode(p.tracks)
-    assert _shunt_moves(spec).children(code) == want
+    assert _child_codes(_shunt_moves(spec), code) == want
     # pushes first lists p's predecessors by the forward move into p, the
     # inverse of a legal move at p, in (siding, pull before push, count) order
     inverse_forward = sorted(legal_moves(spec, p),
                              key=lambda mv: (mv.siding, mv.direction == PULL, mv.count))
     want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in inverse_forward]
-    assert _shunt_moves(spec, pushes_first=True).children(code) == want
+    assert _child_codes(_shunt_moves(spec, pushes_first=True), code) == want
 
 
 @given(_cards_specs_with_state_pairs())
@@ -952,7 +991,7 @@ def test_card_table_matches_reference_rule_in_order(case):
     codec = state_codec(spec)
     want = [codec.encode(t.piles) for t in card_neighbors(spec, state)]
     code = codec.encode(state.piles)
-    assert _card_moves(spec).children(code) == want
+    assert _child_codes(_card_moves(spec), code) == want
 
 
 @pytest.mark.parametrize("w", range(1, 6))
@@ -1001,7 +1040,7 @@ def _spheres(moves, code: int) -> list[set[int]]:
     depth = {occ: dict.fromkeys(group, 0) for occ, group in level.items()}
     spheres = []
     while level:
-        spheres.append(set(_codes(moves, level)))
+        spheres.append(_codes(moves, ((occ, x) for occ, group in level.items() for x in group)))
         level, hits = _next_level(moves, level, depth, len(spheres), _depths({}))
         assert hits == {}
     assert {moves.code(occ, places): j for occ, known in depth.items()
@@ -1047,7 +1086,7 @@ def test_occupancy_mask_with_labels_past_the_slot_high_bit():
         occupancy = (((code & moves.low) + moves.low) | code) & moves.high
         assert occupancy == codec.encode(tuple((128,) * len(t) for t in p.tracks))
         want = [codec.encode(apply_move(spec, p, mv).tracks) for mv in legal_moves(spec, p)]
-        assert moves.children(code) == want
+        assert _child_codes(moves, code) == want
 
 
 def test_search_checks_are_not_asserts():
@@ -1058,6 +1097,34 @@ def test_search_checks_are_not_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_no_private_top_level_name_goes_unreferenced():
+    # a private function, class or constant that no module of the package
+    # references is dead code, or an entry point only the tests call
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in
+             sorted((Path(__file__).resolve().parent.parent / "src" / "inglenook").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                tops = [node.name]
+            elif isinstance(node, ast.Assign):
+                tops = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{name}:{top}" for top in tops
+                             if top.startswith("_") and not top.startswith("__") and top not in used]
+    assert unreferenced == []
 
 
 def test_renaming_check_survives_python_O():
