@@ -29,9 +29,9 @@ census, the diameter) run `_bfs_levels` on `_RankMoves`, the same tables on
 (mask, label-order rank) states, where a move is one list of w! ranks, built
 up front by `_rank_table` from blocks of the lexicographic ranks rather than
 permutation by permutation; a sweep keeps three levels and a 16-bit depth
-per state.  An exact card-pile diameter takes one sweep per pile-size
-composition, by `_eccentricities`, since renaming cards is a graph
-automorphism; a disconnected graph costs only its `_census`.  A goal pattern
+per state.  An exact card-pile diameter takes one sweep per orbit of
+pile-size compositions under swaps of like tracks, by `_eccentricities`;
+a disconnected graph costs only its `_census`.  A goal pattern
 compiles once per search, by `_plans`, into one `_Plan` per satisfiable
 alternative, its one compiled form.  A plan holds a masked compare plus one
 set test per any-order track, from which `_goal_test` builds the goal
@@ -68,7 +68,6 @@ from .model import (
     SolutionTrace,
     _check_trace,
     _replay_steps,
-    _compositions,
     count_positions,
     count_states,
     from_cards,
@@ -625,6 +624,16 @@ def _occupancies(codec, w: int) -> list[int]:
     return [_mask(codec, lens) for lens in _track_lengths(codec.caps, w)]
 
 
+def _orbit_firsts(moves: _MoveTable) -> list[int]:
+    """The mask of the first composition, in `_track_lengths` order, of
+    each orbit under swaps of two tracks of one capacity and one open end,
+    graph automorphisms of either move rule like renaming the labels."""
+    firsts: dict[tuple, tuple[int, ...]] = {}
+    for lens in _track_lengths(moves.codec.caps, moves.w):
+        firsts.setdefault(tuple(sorted(zip(moves.codec.caps, moves.front_open, lens))), lens)
+    return [_mask(moves.codec, lens) for lens in firsts.values()]
+
+
 def _depth_map(ranks: _RankMoves) -> dict[int, memoryview]:
     """A zeroed 16-bit depth entry per state, w! entries per mask, each a
     view of a bytearray; `_bfs_levels` stores level + 1, so a sweep may run
@@ -1038,18 +1047,21 @@ def cards_distance(spec: CardsSpec, start: CardsState, goal: CardsState, *,
 def cards_diameter(spec: CardsSpec, *, budget: int = DEFAULT_BUDGET) -> int:
     """Exact diameter of a connected card-pile graph.
 
-    Renaming cards is a graph automorphism, so every state with the same
-    pile sizes has the same eccentricity: one search per pile-size
-    composition, from cards 1..w dealt in order, covers every state.  The
-    budget is checked against the states those searches visit: the number
-    of compositions times the state count.  The graph is connected exactly
-    when a search reaches every state; a disconnected graph costs only its
-    census, which continues from the first search on the same rank tables.
+    Renaming cards and swapping two piles of one capacity are graph
+    automorphisms, so all states of one orbit of pile-size compositions
+    share an eccentricity: one search per orbit, from cards 1..w dealt in
+    order onto its first composition, covers every state.  The budget is
+    checked against one search's states, then against all of theirs:
+    orbits times states.  The graph is connected exactly when a search
+    reaches every state; a disconnected graph costs only its census, which
+    continues from the first search on the same rank tables.
     """
-    total = count_states(spec)
-    _within_budget(budget, _compositions(spec.m, spec.w) * total, "all-sources diameter")
-    ranks = _RankMoves(_card_moves(spec))  # rank 0 deals cards 1..w in order
-    diameter = max(_eccentricities(ranks, ranks, total))
+    total = _within_budget(budget, count_states(spec), "one diameter search")
+    moves = _card_moves(spec)
+    occs = _orbit_firsts(moves)
+    _within_budget(budget, len(occs) * total, "all-sources diameter")
+    ranks = _RankMoves(moves)  # rank 0 deals cards 1..w in order
+    diameter = max(_eccentricities(ranks, occs, total))
 
     lower_bound_family = spec.s == 2 and spec.w >= 2 and spec.m == (spec.w - 1, spec.w - 1, 1)
     if lower_bound_family and diameter < (spec.w * spec.w + 2) // 4:

@@ -3,8 +3,9 @@ PASS line.  Run with `pytest -v -s tests/test_acceptance.py`.
 
 The classic-plan sweeps each label all 2,136,960 positions on rank tables
 and take a few seconds together; the classic optimal searches meet in the
-middle.  Both run in the quick loop.  The w = 8 card diameter, at 3–5 s,
-is marked `slow`, as are the two full grids in `tests/test_feasibility.py`.
+middle.  Both run in the quick loop.  The w = 8 card diameter, at about
+1.7 s in one sweep per orbit of pile-size compositions, is marked `slow`,
+as are the two full grids in `tests/test_feasibility.py`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from inglenook import (
     cards_diameter,
     cards_distance,
     cards_move_bound,
-    cards_spec,
     inglenook_move_bound,
     inglenook_solvable,
     max_wagons,
@@ -303,8 +303,18 @@ def _card_diameter(w: int) -> int:
 
 
 @pytest.mark.slow
-def test_criterion_6_card_diameter_of_eight():
+def test_criterion_6_card_diameter_of_eight(monkeypatch):
+    # 15 pile-size compositions in 8 orbits of swaps of the two 7-card
+    # piles: one sweep per orbit
+    bfs_levels, sweeps = search._bfs_levels, []
+
+    def swept(*args):
+        sweeps.append(args[1])
+        return bfs_levels(*args)
+
+    monkeypatch.setattr(search, "_bfs_levels", swept)
     assert _card_diameter(8) == 45
+    assert len(sweeps) == 8
     _report(6, "card diameter at w = 8", "45")
 
 

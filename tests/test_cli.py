@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import io
 import os
-import random
 import string
 import subprocess
 import sys

@@ -42,12 +42,11 @@ from inglenook import (
 from inglenook import constructive
 from inglenook.constructive import format_card_move, format_move_list, format_trace
 from inglenook.model import position_codec
-from inglenook.search import GoalPattern, parse_pattern
+from inglenook.search import parse_pattern
 
 from conftest import (
     all_card_states,
     all_positions,
-    card_states,
     cards_specs,
     pattern_matches,
     positions,

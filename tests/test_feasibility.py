@@ -33,7 +33,6 @@ from conftest import (
     all_card_states,
     all_positions,
     card_neighbors,
-    cards_specs,
     naive_cards_components,
     naive_distances,
     puzzle_specs,

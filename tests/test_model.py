@@ -36,7 +36,7 @@ from inglenook.model import (
     position_codec,
 )
 
-from conftest import legal_moves, positions, puzzle_specs, specs_with_positions
+from conftest import legal_moves, puzzle_specs, specs_with_positions
 
 
 CLASSIC = PuzzleSpec(8, 3, (3, 3, 5))

@@ -38,6 +38,7 @@ from inglenook import (
     cards_distance,
     count_positions,
     count_states,
+    inglenook_solvable,
     matching_codes,
     optimal_solve,
     ordering_displacement,
@@ -73,10 +74,12 @@ from inglenook.search import (
     _level,
     _next_level,
     _occupancies,
+    _orbit_firsts,
     _plans,
     _rank_table,
     _shortest_layers,
     _shunt_moves,
+    _track_lengths,
     pattern_conflicts,
     sample_code,
 )
@@ -719,12 +722,19 @@ def test_diameter_matches_naive_bfs_small(spec):
 
 
 def test_diameter_budget_counts_one_search_per_composition():
-    # 9 compositions times 1,080 states is 9,720, under the budget; the
-    # squared state count, 1,166,400, would be refused
-    assert cards_diameter(CardsSpec(5, (4, 4, 1)), budget=10 ** 4) == 20
+    # 9 compositions in 5 orbits of pile swaps, times 1,080 states, is
+    # 5,400; the squared state count, 1,166,400, would be refused
+    assert cards_diameter(CardsSpec(5, (4, 4, 1)), budget=5400) == 20
     with pytest.raises(BudgetExceededError) as err:
-        cards_diameter(CardsSpec(5, (4, 4, 1)), budget=9719)
-    assert err.value.estimate == 9720
+        cards_diameter(CardsSpec(5, (4, 4, 1)), budget=5399)
+    assert err.value.estimate == 5400
+    # one search's states are checked first, so a plan past the budget is
+    # refused before its orbits are listed or its move table is built
+    with pytest.raises(BudgetExceededError, match="one diameter search") as err:
+        cards_diameter(CardsSpec(5, (4, 4, 1)), budget=1079)
+    assert err.value.estimate == 1080
+    with pytest.raises(BudgetExceededError):
+        cards_diameter(CardsSpec(256, (255, 255, 1)))
 
 
 # --- census and eccentricities, on either move rule --------------------------
@@ -788,9 +798,57 @@ def test_shunt_eccentricities_on_the_zero_slack_plan():
     assert max(_eccentricities(ranks, ranks, count_positions(spec))) == 16
 
 
+def _swap_orbit_firsts(caps, front_open, w) -> list[int]:
+    """For each composition of w over tracks of `caps`, in `_track_lengths`
+    order, the index of the first composition of its orbit under swaps of
+    two tracks of one capacity and one open end, closed swap by swap."""
+    comps = list(_track_lengths(caps, w))
+    index = {lens: i for i, lens in enumerate(comps)}
+    swaps = [(i, j) for i, j in itertools.combinations(range(len(caps)), 2)
+             if (caps[i], front_open[i]) == (caps[j], front_open[j])]
+    firsts = []
+    for lens in comps:
+        orbit, todo = {lens}, [lens]
+        while todo:
+            cur = todo.pop()
+            for i, j in swaps:
+                swapped = list(cur)
+                swapped[i], swapped[j] = cur[j], cur[i]
+                swapped = tuple(swapped)
+                if swapped not in orbit:
+                    orbit.add(swapped)
+                    todo.append(swapped)
+        firsts.append(min(map(index.__getitem__, orbit)))
+    return firsts
+
+
+@given(st.one_of(
+    puzzle_specs(max_w=5, max_h=3, max_s=3, max_cap=3).filter(lambda p: inglenook_solvable(p).solvable),
+    cards_specs(max_w=5, max_piles=4, max_cap=3).filter(lambda c: cards_connected(c).solvable)))
+@example(PuzzleSpec(5, 2, (2, 2, 2)))  # the headshunt as long as the sidings
+@example(PuzzleSpec(4, 3, (3, 3, 3)))
+@example(CardsSpec(3, (2, 2, 2)))
+@settings(max_examples=60, deadline=None)
+def test_eccentricity_is_constant_on_each_orbit_of_track_swaps(spec):
+    # swapping two tracks of one capacity and one open end maps the graph
+    # onto itself; the headshunt, open at its back, never swaps with a
+    # siding, open at its front, even at the same capacity
+    if isinstance(spec, PuzzleSpec):
+        moves, total = _shunt_moves(spec), count_positions(spec)
+    else:
+        moves, total = _card_moves(spec), count_states(spec)
+    ranks = _RankMoves(moves)
+    occs, ecc = list(ranks), list(_eccentricities(ranks, ranks, total))
+    firsts = _swap_orbit_firsts(moves.codec.caps, moves.front_open, moves.w)
+    assert [ecc[i] for i in firsts] == ecc
+    # the diameter sweeps from the first mask of each orbit alone
+    assert _orbit_firsts(moves) == [occs[i] for i in sorted(set(firsts))]
+
+
 @pytest.mark.parametrize("spec,sweeps,diameter", [
     (CardsSpec(3, (3, 3)), 6, None),  # 6 components of 4 states
-    (CardsSpec(6, (5, 5, 1)), 11, 27),  # 11 compositions
+    (CardsSpec(6, (5, 5, 1)), 6, 27),  # 11 compositions in 6 orbits
+    (CardsSpec(7, (6, 6, 1)), 7, 36),  # 13 compositions in 7 orbits
 ])
 def test_diameter_builds_once_and_sweeps_each_composition_or_component(
         monkeypatch, spec, sweeps, diameter):
@@ -1125,6 +1183,25 @@ def test_no_private_top_level_name_goes_unreferenced():
             unreferenced += [f"{name}:{top}" for top in tops
                              if top.startswith("_") and not top.startswith("__") and top not in used]
     assert unreferenced == []
+
+
+def test_no_module_level_import_goes_unused():
+    # a name a module imports at its top level and never reads is dead; the
+    # package's __init__.py is left out, since its imports are the API
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "tests").glob("*.py")) + sorted(
+        path for path in (root / "src" / "inglenook").glob("*.py") if path.name != "__init__.py")
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno}:{bound}" for bound in
+                           ((alias.asname or alias.name.split(".")[0]) for alias in node.names)
+                           if bound not in read]
+    assert unused == []
 
 
 def test_renaming_check_survives_python_O():
