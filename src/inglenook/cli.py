@@ -168,45 +168,39 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _iter_move_lines(spec, text: str, labels):
-    """Move lines from a bare move list or a full trace file.
-
-    Position lines are returned for cross-checking; key = value header
-    lines and comments are ignored, so solver output replays directly.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("H:"):
-            position = model.parse_position_with_labels(spec, line, labels, lineno)[0]
-            yield lineno, ("position", position)
-            continue
-        if model._KEYVAL_RE.match(line) and not line.upper().startswith(("PULL", "PUSH")):
-            continue
-        yield lineno, ("move", model.parse_move(line, lineno))
-
-
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
     start, labels = _load_start(spec, args)
     if args.moves is None:
         raise FormatError("verify needs --moves")
-    text = _read_source(args.moves)
-    current = start
-    count = 0
-    for lineno, (kind, value) in _iter_move_lines(spec, text, labels):
-        if kind == "position":
-            if value != current:
-                raise ReplayFailure(f"position at line {lineno} does not match the replayed "
-                                    f"state: {model.format_position(value, labels)!r}")
-            continue
-        try:
-            current = model.apply_move(spec, current, value)
-        except IllegalMoveError as exc:
-            raise ReplayFailure(f"illegal move at line {lineno}: "
-                                f"{model.format_move(value)!r}: {exc}") from None
-        count += 1
+    lines = enumerate(_read_source(args.moves).splitlines(), start=1)
+
+    def moves():
+        """Moves from a bare move list or a full trace file, parsed one line
+        at a time as the replay asks.  A position line must be the state the
+        replay last yielded; key = value header lines and comments are
+        ignored, so solver output replays directly."""
+        nonlocal lineno, mv
+        for lineno, raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("H:"):
+                position = model.parse_position_with_labels(spec, line, labels, lineno)[0]
+                if position != current:
+                    raise ReplayFailure(f"position at line {lineno} does not match the replayed "
+                                        f"state: {model.format_position(position, labels)!r}")
+            elif not model._KEYVAL_RE.match(line) or line.upper().startswith(("PULL", "PUSH")):
+                mv = model.parse_move(line, lineno)
+                yield mv
+
+    lineno = mv = None  # the line and move the replay is on
+    try:
+        for count, current in enumerate(model._replay_steps(spec, start, moves())):
+            pass
+    except IllegalMoveError as exc:
+        raise ReplayFailure(f"illegal move at line {lineno}: "
+                            f"{model.format_move(mv)!r}: {exc}") from None
     print(f"moves = {count}")
     print(model.format_position(current, labels))
     return EXIT_OK

@@ -1074,7 +1074,8 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
     three-siding, one-wagon-headshunt plan with sidings w-1, w-1, 1.
 
     Checked against the matching card-pile search: the shunt distance is
-    exactly twice the card distance, and at least ceil((w*w - 1) / 2).
+    exactly twice the card distance, and at least the ordering displacement
+    of the reversal, ceil((w*w - 1) / 2).
     """
     if w < 2:
         raise InglenookError("reversal needs at least two wagons")
@@ -1088,16 +1089,20 @@ def reversal_distance(w: int, *, budget: int = DEFAULT_BUDGET) -> int:
     start = from_cards(spec, ordered)
     goal = from_cards(spec, reversed_)
     report = optimal_solve(spec, start, GoalPattern.exact_position(goal), budget=budget)
-    if report.distance != 2 * card_d or report.distance < (w * w) // 2:
+    floor = ordering_displacement(range(1, w + 1), range(w, 0, -1))
+    if report.distance != 2 * card_d or report.distance < floor:
         raise InternalCheckError(
             f"reversal takes {report.distance} shunt moves; want twice the card "
-            f"distance {card_d} and at least {(w * w) // 2}"
+            f"distance {card_d} and at least {floor}"
         )
     return report.distance
 
 
 def ordering_displacement(first, second) -> int:
-    """Total slot displacement between two orderings of the same items."""
+    """Total slot displacement between two orderings of the same items.
+
+    Public because it gives `reversal_distance` its lower bound: reversing w
+    wagons displaces them by floor(w*w / 2) slots in all."""
     pos = {item: i for i, item in enumerate(first)}
     if len(pos) != len(first) or sorted(first) != sorted(second):
         raise InglenookError("orderings must list the same distinct items")

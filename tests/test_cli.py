@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import string
 import subprocess
 import sys
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inglenook import PuzzleSpec, format_position, parse_position
+from inglenook import PuzzleSpec, format_position, model, parse_position
 from inglenook.cli import run
+
+from conftest import legal_moves
 
 SMALL_SPEC = "wagons = 4\nheadshunt = 2\nsidings = 2 2 1\n"
 
@@ -424,6 +427,50 @@ def test_verify_fixture_move_lists_land_on_published_finishes(fixtures_dir):
         assert code == 0
         assert f"moves = {count}" in out
         assert (fixtures_dir / f"{stem}.finish").read_text().strip() in out
+
+
+def _verify_validations(monkeypatch, fixtures_dir, moves) -> int:
+    """How many whole positions `verify` validates while it replays `moves`
+    from solution20's start on the classic plan."""
+    calls = []
+    real = model.validate_position
+    monkeypatch.setattr(model, "validate_position",
+                        lambda spec, p: calls.append(p) or real(spec, p))
+    code, _, err = run_cli("verify", "--spec", str(fixtures_dir / "classic.spec"),
+                           "--start", str(fixtures_dir / "solution20.start"),
+                           "--moves", moves)
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    return len(calls)
+
+
+def test_verify_validations_do_not_grow_with_the_trace(monkeypatch, fixtures_dir,
+                                                       classic_spec):
+    # one for --start, one for the replay's start and one per position line;
+    # each move is checked for legality alone
+    assert _verify_validations(monkeypatch, fixtures_dir,
+                               str(fixtures_dir / "solution20.moves")) == 2
+    cur = parse_position(classic_spec, (fixtures_dir / "solution20.start").read_text())
+    rng = random.Random(0)
+    lines = []
+    for i in range(240):
+        if i % 60 == 0:
+            lines.append(format_position(cur))
+        mv = rng.choice(legal_moves(classic_spec, cur))
+        lines.append(model.format_move(mv))
+        cur = model.apply_move(classic_spec, cur, mv)
+    lines.append(format_position(cur))
+    assert _verify_validations(monkeypatch, fixtures_dir, "\n".join(lines)) == 2 + 5
+
+
+@pytest.mark.parametrize("moves,code,err", [
+    ("PULL 9 S1\nH:[", 1,
+     "error: illegal move at line 1: 'PULL 9 S1': cannot pull 9 wagons, siding 1 holds 2\n"),
+    ("H:[\nPULL 9 S1", 2, "error: expected 4 tracks separated by '|', got 1 (line 1)\n"),
+])
+def test_verify_reads_lines_in_order_and_stops_at_the_first_fault(moves, code, err):
+    # a move file is read lazily: the later fault is never reached
+    assert run_cli("verify", *VERIFY_PLAN, "--moves", moves) == (code, "", err)
 
 
 def test_missing_required_flags_are_input_errors(tmp_path):

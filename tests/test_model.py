@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -347,3 +352,16 @@ def test_move_text_round_trip():
         assert format_move(parse_move(text)) == text
     with pytest.raises(FormatError):
         parse_move("SHOVE 1 S1")
+
+
+def test_constructive_property_tests_hold_under_python_O():
+    # `python -O` strips the package's assert statements but not pytest's
+    # rewritten ones, so the move-bound and replay properties must hold on
+    # checks that are not asserts
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           str(root / "tests" / "test_constructive.py")],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
