@@ -27,6 +27,7 @@ from .model import (
     ShuntMove,
     SolutionTrace,
     _check_trace,
+    _pile_tracks,
     _replay_steps,
     apply_move,
     cards_spec,
@@ -254,14 +255,11 @@ def _seat_anchor(caps: list[int], piles: list[list[int]], target: int, anchor: i
 
 
 def _lift_card_move(spec: PuzzleSpec, mv: CardMove) -> list[ShuntMove]:
-    """Translate one card move into one or two shunt moves."""
-    if spec.h > 1:
-        if mv.source == 0:
-            return [ShuntMove(mv.dest, PUSH, 1)]
-        if mv.dest == 0:
-            return [ShuntMove(mv.source, PULL, 1)]
-        return [ShuntMove(mv.source, PULL, 1), ShuntMove(mv.dest, PUSH, 1)]
-    return [ShuntMove(mv.source + 1, PULL, 1), ShuntMove(mv.dest + 1, PUSH, 1)]
+    """Translate one card move into a pull from its source track, then a
+    push to its destination track, leaving out whichever is the headshunt."""
+    tracks = _pile_tracks(spec)
+    steps = ((tracks[mv.source], PULL), (tracks[mv.dest], PUSH))
+    return [ShuntMove(track, direction, 1) for track, direction in steps if track]
 
 
 def _push_to_convertible(spec: PuzzleSpec, p: Position) -> ShuntMove:

@@ -1,12 +1,15 @@
-"""Exact decision procedures for "can this puzzle always be solved",
-for both the inglenook graph and the card-pile graph, with capacity
-planning helpers derived from the same inequality."""
+"""Exact decision procedures for "can this puzzle always be solved".
+The card-pile graph's verdict is the one written out: its capacity
+inequality, `cards_slack`, past one card or two piles.  An inglenook plan
+takes the verdict of its card-pile form, `model.cards_spec`, save the two
+one-wagon-headshunt plans that form cannot name, and `max_wagons` reads
+the same slack."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CardsSpec, InglenookError, InternalCheckError, PuzzleSpec
+from .model import CardsSpec, InglenookError, InternalCheckError, PuzzleSpec, cards_spec
 
 # Branch names reported by verdicts.
 BRANCH_SINGLE_WAGON = "w=1"
@@ -44,9 +47,9 @@ class UnsolvableError(InglenookError):
 
 
 def inglenook_slack(spec: PuzzleSpec) -> int:
-    """(h-1 + sum of siding capacities) - (w + largest of h-1 and the sidings)."""
-    biggest = max(spec.h - 1, *spec.m)
-    return (spec.h - 1 + sum(spec.m)) - (spec.w + biggest)
+    """The card slack of the plan's card-pile form: (h-1 + sum of siding
+    capacities) - (w + largest of h-1 and the sidings)."""
+    return cards_slack(cards_spec(spec))
 
 
 def inglenook_solvable(spec: PuzzleSpec) -> FeasibilityVerdict:
@@ -54,21 +57,18 @@ def inglenook_solvable(spec: PuzzleSpec) -> FeasibilityVerdict:
 
     Natural means the start set is closed under renaming wagons and every
     finishing position fixes the wagon nearest the buffer stop of one
-    siding (the classic random-shunt rules qualify).  A single wagon is
-    always solvable.  With more wagons, a single siding is never solvable,
-    nor is a one-wagon headshunt with only two sidings; otherwise the
-    capacity inequality decides.
+    siding (the classic random-shunt rules qualify).  The verdict is that
+    of the plan's card-pile form, `cards_connected(cards_spec(spec))`,
+    save that more than one wagon on at most two piles (one siding, or two
+    behind a one-wagon headshunt, which has no pile) is named by its
+    sidings, where the card form may say `inequality-fail` or `s=1`.
     """
-    slack = inglenook_slack(spec)
-    if spec.w == 1:
-        return FeasibilityVerdict(True, BRANCH_SINGLE_WAGON, slack)
-    if spec.s == 1:
-        return FeasibilityVerdict(False, BRANCH_SINGLE_SIDING, slack)
-    if spec.h == 1 and spec.s == 2:
-        return FeasibilityVerdict(False, BRANCH_TINY_HEADSHUNT, slack)
-    if slack >= 0:
-        return FeasibilityVerdict(True, BRANCH_INEQUALITY_PASS, slack)
-    return FeasibilityVerdict(False, BRANCH_INEQUALITY_FAIL, slack)
+    cspec = cards_spec(spec)
+    verdict = cards_connected(cspec)
+    if spec.w > 1 and cspec.s <= 1:
+        branch = BRANCH_SINGLE_SIDING if spec.s == 1 else BRANCH_TINY_HEADSHUNT
+        return FeasibilityVerdict(False, branch, verdict.slack)
+    return verdict
 
 
 def cards_slack(spec: CardsSpec) -> int:
@@ -93,17 +93,16 @@ def cards_connected(spec: CardsSpec) -> FeasibilityVerdict:
 
 
 def max_wagons(h: int, m: tuple[int, ...]) -> int:
-    """Largest wagon count that keeps every natural puzzle solvable.
+    """Largest wagon count that keeps every natural puzzle solvable: the
+    slack of one wagon, plus one.
 
     Degenerate track plans (one siding, or a one-wagon headshunt with two
-    sidings) only ever work with a single wagon.
+    sidings: at most two piles) only ever work with a single wagon.
     """
-    m = tuple(m)
-    probe = PuzzleSpec(1, h, m)  # validates capacities
-    if probe.s == 1 or (h == 1 and probe.s == 2):
+    cspec = cards_spec(PuzzleSpec(1, h, tuple(m)))  # validates capacities
+    if cspec.s <= 1:
         return 1
-    best = (h - 1 + sum(m)) - max(h - 1, *m)
-    return max(best, 1)
+    return cards_slack(cspec) + 1
 
 
 def immovable_bottom(spec: CardsSpec, j: int) -> bool:

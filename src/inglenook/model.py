@@ -108,9 +108,6 @@ class Position:
     def headshunt(self) -> tuple[int, ...]:
         return self.tracks[0]
 
-    def siding(self, i: int) -> tuple[int, ...]:
-        return self.tracks[i]
-
 
 @dataclass(frozen=True)
 class ShuntMove:
@@ -281,16 +278,18 @@ def is_convertible(spec: PuzzleSpec, p: Position) -> bool:
     return len(p.headshunt) <= spec.h - 1
 
 
-def cards_spec(spec: PuzzleSpec) -> CardsSpec:
-    """Card-pile sizes matching spec's convertible positions.
+def _pile_tracks(spec: PuzzleSpec) -> range:
+    """The track of each card pile, in pile order: for h > 1 the headshunt,
+    as pile 0 of capacity h-1, then every siding; for h = 1 the headshunt is
+    empty in every convertible position, so the sidings alone."""
+    return range(0 if spec.h > 1 else 1, spec.s + 1)
 
-    For h > 1, pile 0 stands for the headshunt with capacity h-1 and pile i
-    for siding i.  For h = 1 the headshunt is empty in every convertible
-    position, so pile j stands for siding j+1.
-    """
-    if spec.h > 1:
-        return CardsSpec(spec.w, (spec.h - 1,) + spec.m)
-    return CardsSpec(spec.w, spec.m)
+
+def cards_spec(spec: PuzzleSpec) -> CardsSpec:
+    """Card-pile sizes matching spec's convertible positions, a pile per
+    track of `_pile_tracks`."""
+    caps = (spec.h - 1,) + spec.m
+    return CardsSpec(spec.w, tuple(caps[i] for i in _pile_tracks(spec)))
 
 
 def to_cards(spec: PuzzleSpec, p: Position) -> CardsState:
@@ -302,20 +301,15 @@ def to_cards(spec: PuzzleSpec, p: Position) -> CardsState:
     """
     if not is_convertible(spec, p):
         raise InvalidPositionError("position is not convertible: headshunt is full")
-    piles = [tuple(reversed(p.tracks[i])) for i in range(1, spec.s + 1)]
-    if spec.h > 1:
-        piles.insert(0, p.headshunt)
-    return CardsState(tuple(piles))
+    return CardsState(tuple(p.tracks[i][::-1] if i else p.tracks[i] for i in _pile_tracks(spec)))
 
 
 def from_cards(spec: PuzzleSpec, c: CardsState) -> Position:
     """Inverse of to_cards; the result is always convertible."""
-    cspec = cards_spec(spec)
-    validate_state(cspec, c)
-    if spec.h > 1:
-        tracks = [c.piles[0]] + [tuple(reversed(pile)) for pile in c.piles[1:]]
-    else:
-        tracks = [()] + [tuple(reversed(pile)) for pile in c.piles]
+    validate_state(cards_spec(spec), c)
+    tracks = [()] * (spec.s + 1)
+    for i, pile in zip(_pile_tracks(spec), c.piles):
+        tracks[i] = pile[::-1] if i else pile
     return Position(tuple(tracks))
 
 

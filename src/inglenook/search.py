@@ -20,7 +20,8 @@ and its walks stay on place states: codes appear only at the edges, as the
 start, the goal test, the listed goal family and the printed path.  One
 walker, `_first_path`, builds every reported path on states of either
 table, by the first move in table order into each next shortest-path
-layer: the optimal trace walks from the start to the finish a forward
+layer, and one rebuild, `_path_layers`, gives those layers from a side's
+depths: the optimal trace walks from the start to the finish a forward
 search alone would hit, then back over the reversed layers on the
 pushes-first table, which takes the first forward move in (siding, pull
 before push, count) order; `worst` walks from the first goal on a deepest
@@ -662,7 +663,7 @@ def _bfs_levels(ranks: _RankMoves, sources, depth: dict[int, memoryview]) -> lis
     prev: dict[int, tuple[int, ...]] = {}
     sizes: list[int] = []
     while level:
-        sizes.append(sum(map(len, level.values())))
+        sizes.append(_size(level))
         mark = len(sizes)
         into: dict[int, list] = {}
         for occ, group in level.items():
@@ -862,23 +863,23 @@ def _shortest_layers(moves: _MoveTable, first: int, match, family):
         return None, explored
 
     # The meeting states are the shortest-path states at distance kf from
-    # the start; layers[j] holds those at distance j.
-    kf = len(sizes) - 1
-    d = kf + len(bsizes) - 1
-    layers: list = [None] * (d + 1)
-    layers[kf] = meet
-    for j in range(kf, 0, -1):
-        layers[j - 1] = _next_depth(moves, layers[j], _depths(depth), j - 1)
-    for j in range(kf, d):
-        layers[j + 1] = _next_depth(moves, layers[j], goal_depths, d - j - 1)
-    return [{(occ, x) for occ, group in layer.items() for x in group} for layer in layers], explored
+    # the start and kb from the goal; layers[j] holds those at distance j.
+    kf, kb = len(sizes) - 1, len(bsizes) - 1
+    ends = {(occ, x) for occ, group in meet.items() for x in group}
+    fwd = _path_layers(moves, ends, lambda s: depth.get(s[0], {}).get(s[1]), kf)
+    bwd = _path_layers(moves, ends, lambda s: goal_depths(s[0], [s[1]]).get(s[1]), kb)
+    return fwd + bwd[-2::-1], explored
 
 
-def _next_depth(moves: _MoveTable, layer, depths, d: int) -> dict[int, list[bytes]]:
-    """The place states one move from `layer` that `depths` (a `_depths`
-    function) puts at depth d, by mask."""
-    return _between({child: depths(child, set(drawn))
-                     for child, drawn in _drawn(moves, layer).items()}, d, d)
+def _path_layers(moves, ends, depth_of, d: int) -> list[set]:
+    """Layers 0..d of the shortest paths into the states `ends` at depth d,
+    of `moves` (a `_MoveTable` or a `_RankMoves`): layer j holds the
+    children of layer j+1 that `depth_of(state)` puts at depth j."""
+    layers = [set(ends)]
+    for j in range(d - 1, -1, -1):
+        layers.append({child for state in layers[-1] for child in moves.children(state)
+                       if depth_of(child) == j})
+    return layers[::-1]
 
 
 def _reconstruct(spec: PuzzleSpec, layers, end) -> SolutionTrace:
@@ -959,7 +960,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
     moves = _shunt_moves(spec)  # refuses w > 255 before a pattern is listed
     goals = matching_codes(spec, goal, "the goal pattern")
     starts = _plans(spec, start_pattern, "the start pattern")
-    codec = position_codec(spec)
+    codec = moves.codec
     smatch = _goal_test(starts)
     ranks = _RankMoves(moves)
     depth = _depth_map(ranks)
@@ -983,11 +984,7 @@ def worst_case_moves(spec: PuzzleSpec, start_pattern: GoalPattern, goal: GoalPat
         # path below would find, without listing and decoding every level-0
         # state (2,136,960 for a goal of `*` on the classic plan).
         return WorstCaseReport(0, Position(codec.decode(next(filter(smatch, goals)))), explored)
-    layers: list = [None] * (d + 1)
-    layers[d] = ends
-    for j in range(d, 0, -1):
-        layers[j - 1] = {(occ, rank) for state in layers[j]
-                         for occ, rank in ranks.children(state) if depth[occ][rank] == j}
+    layers = _path_layers(ranks, ends, lambda state: depth[state[0]][state[1]] - 1, d)
     first = next(state for state in map(ranks.state, goals) if state in layers[0])
     end = _first_path(ranks, first, layers)[-1]
     return WorstCaseReport(d, Position(codec.decode(ranks.code(*end))), explored)

@@ -170,7 +170,7 @@ def test_criterion_4_worst_case_sweeps(monkeypatch):
 
     r17 = worst_case_moves(CLASSIC, classic_starts, goal_family)
     assert r17.distance == 17
-    assert not r17.start.headshunt and not r17.start.siding(1)
+    assert not r17.start.headshunt and not r17.start.tracks[1]
 
     r18 = worst_case_moves(CLASSIC, all_starts, goal_family)
     assert r18.distance == 18

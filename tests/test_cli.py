@@ -615,6 +615,10 @@ GOLDEN_FAMILY = ("H = []; S1 ~ {1,2,3}; S2 = []; S3 = [4,5,6,7,8]\n"
 GOLDEN = {
     "check": ("check", *GOLDEN_CLASSIC),
     "check_unsolvable": ("check", "--wagons", "9", "--headshunt", "3", "--sidings", "3 3 5"),
+    # the two plans the card-pile form cannot name: a one-wagon headshunt
+    # with one siding, or with two
+    "check_single_siding": ("check", "--wagons", "2", "--headshunt", "1", "--sidings", "2"),
+    "check_tiny_headshunt": ("check", "--wagons", "2", "--headshunt", "1", "--sidings", "2 2"),
     "gen_classic": ("gen", *GOLDEN_CLASSIC, "--start", "@classic_start.pattern",
                     "--seed", "42"),
     # seed 18 draws twice: its first draw also matches the first line

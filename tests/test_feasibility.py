@@ -13,6 +13,7 @@ from inglenook import (
     PuzzleSpec,
     cards_component_census,
     cards_connected,
+    cards_spec,
     count_positions,
     count_states,
     immovable_bottom,
@@ -52,12 +53,38 @@ from conftest import (
         (PuzzleSpec(3, 1, (2, 2)), False, BRANCH_TINY_HEADSHUNT),
         # inequality holds but the two-siding one-wagon-headshunt case loses
         (PuzzleSpec(2, 1, (2, 2)), False, BRANCH_TINY_HEADSHUNT),
+        # one siding behind a one-wagon headshunt, whose card form has one pile
+        (PuzzleSpec(2, 1, (2,)), False, BRANCH_SINGLE_SIDING),
     ],
 )
 def test_inglenook_solvable_fixtures(spec, solvable, branch):
     verdict = inglenook_solvable(spec)
     assert verdict.solvable is solvable
     assert verdict.branch == branch
+
+
+def test_the_verdict_is_the_card_pile_verdict_save_two_named_branches():
+    # every plan with h 1..5 and 1-4 sidings of capacity 1..5, at every w:
+    # the card-pile form decides, except that a one-wagon headshunt has no
+    # pile, so one or two sidings behind it are named on their own; and
+    # max_wagons is the largest w that the verdict calls solvable
+    plans = 0
+    for h in range(1, 6):
+        for m in (m for s in range(1, 5) for m in itertools.product(range(1, 6), repeat=s)):
+            best = 0
+            for w in range(1, h + sum(m)):
+                spec = PuzzleSpec(w, h, m)
+                verdict, card = inglenook_solvable(spec), cards_connected(cards_spec(spec))
+                assert verdict.slack == card.slack == inglenook_slack(spec), spec
+                if w > 1 and h == 1 and len(m) <= 2:
+                    named = BRANCH_SINGLE_SIDING if len(m) == 1 else BRANCH_TINY_HEADSHUNT
+                    assert (verdict.solvable, verdict.branch) == (False, named), spec
+                else:
+                    assert verdict == card, spec
+                best = w if verdict.solvable else best
+                plans += 1
+            assert max_wagons(h, m) == best, (h, m)
+    assert plans == 51750
 
 
 def test_classic_slack_is_zero():

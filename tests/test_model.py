@@ -307,6 +307,18 @@ def test_spec_text_errors_carry_line_numbers():
         pytest.fail("expected a FormatError")
 
 
+@pytest.mark.parametrize("text,line,fragment", [
+    ("sidings = 3 3 5\nheadshunt = 3\nwagons = 0\n", 3, "wagon count must be positive"),
+    ("headshunt = 0\nsidings = 3 3 5\nwagons = 8\n", 1, "headshunt capacity"),
+    ("wagons = 8\nsidings = 3 0 5\nheadshunt = 3\n", 2, "siding 2 capacity"),
+])
+def test_spec_text_refusals_name_the_line_of_the_key_at_fault(text, line, fragment):
+    # the keys are out of their usual order, so each line is the key's own
+    with pytest.raises(FormatError, match=fragment) as info:
+        parse_spec_text(text)
+    assert info.value.line == line
+
+
 def test_position_text_round_trip():
     text = "H:[1,6]|S1:[]|S2:[4,7,8]|S3:[2,3,5]"
     p = parse_position(CLASSIC, text)

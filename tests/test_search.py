@@ -71,6 +71,7 @@ from inglenook.search import (
     _depths,
     _eccentricities,
     _goal_test,
+    _iter_codes,
     _level,
     _next_level,
     _occupancies,
@@ -431,6 +432,38 @@ def test_optimal_family_explored_matches_the_oracle(case):
     family = [p for p in all_positions(spec) if pattern_matches(spec, pattern, p)]
     want = naive_explored(naive_distances(spec, start), naive_distances(spec, *family))
     assert optimal_solve(spec, start, pattern).explored == want
+
+
+@given(_specs_with_starts_and_patterns())
+@example((SMALL, Position(((), (1, 2), (3, 4), ())), parse_pattern(SMALL, "S3 = [1]")))
+@example((SMALL, Position(((), (1, 2), (3, 4), ())),
+          parse_pattern(SMALL, "S1 = [2,1]; S2 = [3,4]\nS1 = [4,3]; S2 = [1,2]")))
+@example((SMALL, Position(((), (1, 2), (3, 4), ())),
+          parse_pattern(SMALL, "H = []; S1 = [2,1]; S2 = [4,3]; S3 = []")))
+@example((_TWO_IN_ONE_SIDING, Position(((), (1, 2))),
+          parse_pattern(_TWO_IN_ONE_SIDING, "H = [2]; S1 = [1]\nH = [2,1]")))
+@settings(max_examples=100, deadline=None)
+def test_family_layers_are_the_oracle_layers(case):
+    # layer j is every x with d(s, x) = j and d(x, G) = d - j, on each goal
+    # side; the examples are a family met before it is listed, one that
+    # seeds the goal side, one goal with the start's track lengths and an
+    # unreachable family
+    spec, start, pattern = case
+    family = [p for p in all_positions(spec) if pattern_matches(spec, pattern, p)]
+    from_start, from_goal = naive_distances(spec, start), naive_distances(spec, *family)
+    moves, plans = _shunt_moves(spec), _plans(spec, pattern)
+    first = moves.codec.encode(start.tracks)
+    layers = _shortest_layers(moves, first, _goal_test(plans), _iter_codes(plans))[0]
+    distance = min((from_start[p] for p in family if p in from_start), default=None)
+    assert optimal_solve(spec, start, pattern).distance == distance
+    if distance is None:
+        assert layers is None
+        return
+    want = [set() for _ in range(distance + 1)]
+    for x, j in from_start.items():
+        if from_goal.get(x) == distance - j:
+            want[j].add(moves.codec.encode(x.tracks))
+    assert [_codes(moves, layer) for layer in layers] == want
 
 
 @pytest.mark.parametrize("spec,start,finish,distance", [
