@@ -248,14 +248,21 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names one, since building all
+    seven subparsers costs more than most commands' own work; else all
+    seven, for no argument, `-h` or an unknown word.  The usage, which
+    argparse prints on an unrecognized argument, lists all seven either way."""
     parser = argparse.ArgumentParser(
         prog="inglenook",
         description="Shunting puzzle tools: check feasibility, build or "
         "optimise solutions, study worst cases, and verify move lists.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, doc, flags) in _COMMANDS.items():
+    if command in _COMMANDS:
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        _handler, doc, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=doc)
         for flag in _SPEC_FLAGS + flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -263,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
     except BudgetExceededError as exc:

@@ -29,13 +29,12 @@ from .model import (
     _check_trace,
     _pile_tracks,
     _replay_steps,
-    apply_move,
+    _shunt,
+    _to_cards,
     cards_spec,
     format_move,
     format_position,
-    is_convertible,
     position_codec,
-    to_cards,
     validate_position,
     validate_state,
 )
@@ -285,20 +284,21 @@ def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> Soluti
     if start == goal:
         return SolutionTrace(start, goal, ())
 
+    # both ends are valid now: a full headshunt is the one way not to be convertible
     moves: list[ShuntMove] = []
     entry = start
-    if not is_convertible(spec, entry):
+    if len(entry.headshunt) == spec.h:
         mv = _push_to_convertible(spec, entry)
         moves.append(mv)
-        entry = apply_move(spec, entry, mv)
+        entry = _shunt(spec, entry, mv)
     exit_goal = goal
     suffix: list[ShuntMove] = []
-    if not is_convertible(spec, goal):
+    if len(goal.headshunt) == spec.h:
         mv = _push_to_convertible(spec, goal)
-        exit_goal = apply_move(spec, goal, mv)
+        exit_goal = _shunt(spec, goal, mv)
         suffix.append(mv.inverse())
 
-    ctrace = solve_cards(cards_spec(spec), to_cards(spec, entry), to_cards(spec, exit_goal))
+    ctrace = solve_cards(cards_spec(spec), _to_cards(spec, entry), _to_cards(spec, exit_goal))
     for cm in ctrace.moves:
         moves.extend(_lift_card_move(spec, cm))
     moves.extend(suffix)

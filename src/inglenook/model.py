@@ -238,38 +238,43 @@ def _replay_steps(spec: PuzzleSpec, cur: Position, moves):
     validate_position(spec, cur)
     yield cur
     for mv in moves:
-        if not 1 <= mv.siding <= spec.s:
-            raise IllegalMoveError(f"no siding {mv.siding} (spec has {spec.s})")
-        if mv.count < 1:
-            raise IllegalMoveError(f"move count must be positive, got {mv.count}")
-        tracks = list(cur.tracks)
-        head = tracks[0]
-        side = tracks[mv.siding]
-        if mv.direction == PULL:
-            if mv.count > len(side):
-                raise IllegalMoveError(
-                    f"cannot pull {mv.count} wagons, siding {mv.siding} holds {len(side)}"
-                )
-            if mv.count > spec.h - len(head):
-                raise IllegalMoveError(
-                    f"cannot pull {mv.count} wagons, headshunt has {spec.h - len(head)} free"
-                )
-            tracks[0] = head + side[: mv.count]
-            tracks[mv.siding] = side[mv.count :]
-        else:
-            if mv.count > len(head):
-                raise IllegalMoveError(
-                    f"cannot push {mv.count} wagons, headshunt holds {len(head)}"
-                )
-            if mv.count > spec.m[mv.siding - 1] - len(side):
-                raise IllegalMoveError(
-                    f"cannot push {mv.count} wagons, siding {mv.siding} has "
-                    f"{spec.m[mv.siding - 1] - len(side)} free"
-                )
-            tracks[0] = head[: -mv.count]
-            tracks[mv.siding] = head[-mv.count :] + side
-        cur = Position(tuple(tracks))
+        cur = _shunt(spec, cur, mv)
         yield cur
+
+
+def _shunt(spec: PuzzleSpec, cur: Position, mv: ShuntMove) -> Position:
+    """`apply_move` on a position known to be valid: only the move is checked."""
+    if not 1 <= mv.siding <= spec.s:
+        raise IllegalMoveError(f"no siding {mv.siding} (spec has {spec.s})")
+    if mv.count < 1:
+        raise IllegalMoveError(f"move count must be positive, got {mv.count}")
+    tracks = list(cur.tracks)
+    head = tracks[0]
+    side = tracks[mv.siding]
+    if mv.direction == PULL:
+        if mv.count > len(side):
+            raise IllegalMoveError(
+                f"cannot pull {mv.count} wagons, siding {mv.siding} holds {len(side)}"
+            )
+        if mv.count > spec.h - len(head):
+            raise IllegalMoveError(
+                f"cannot pull {mv.count} wagons, headshunt has {spec.h - len(head)} free"
+            )
+        tracks[0] = head + side[: mv.count]
+        tracks[mv.siding] = side[mv.count :]
+    else:
+        if mv.count > len(head):
+            raise IllegalMoveError(
+                f"cannot push {mv.count} wagons, headshunt holds {len(head)}"
+            )
+        if mv.count > spec.m[mv.siding - 1] - len(side):
+            raise IllegalMoveError(
+                f"cannot push {mv.count} wagons, siding {mv.siding} has "
+                f"{spec.m[mv.siding - 1] - len(side)} free"
+            )
+        tracks[0] = head[: -mv.count]
+        tracks[mv.siding] = head[-mv.count :] + side
+    return Position(tuple(tracks))
 
 
 def is_convertible(spec: PuzzleSpec, p: Position) -> bool:
@@ -301,6 +306,11 @@ def to_cards(spec: PuzzleSpec, p: Position) -> CardsState:
     """
     if not is_convertible(spec, p):
         raise InvalidPositionError("position is not convertible: headshunt is full")
+    return _to_cards(spec, p)
+
+
+def _to_cards(spec: PuzzleSpec, p: Position) -> CardsState:
+    """`to_cards` on a position known to be valid and convertible."""
     return CardsState(tuple(p.tracks[i][::-1] if i else p.tracks[i] for i in _pile_tracks(spec)))
 
 

@@ -446,6 +446,8 @@ class _MoveTable(dict):
     destination) track pairs, which end of each track is open (`front_open`
     when its first slot is), and the largest block that may move; a block
     keeps its order.  Moves come out by pair, then block size ascending.
+    A track's labels fill its first slots, so a child mask is the mask less
+    the old runs of source and destination plus their new ones (`_runs`).
     """
 
     def __init__(self, codec, w: int, front_open: tuple[bool, ...], pairs, max_block: int):
@@ -460,6 +462,8 @@ class _MoveTable(dict):
         ones = ((1 << codec.bits * codec.total_slots) - 1) // codec.slot_mask  # 1 in every slot
         self.low = ones * (codec.slot_mask >> 1)
         self.high = ones << (codec.bits - 1)
+        self._runs = [[_mask(codec, (0,) * i + (k,)) for k in range(cap + 1)]
+                      for i, cap in enumerate(codec.caps)]
         self._labels, self._places = bytes(range(1, w + 1)), bytes(range(w))
         self._gathers: dict[int, bytes] = {}
 
@@ -470,16 +474,17 @@ class _MoveTable(dict):
         starts = list(itertools.accumulate(lens, initial=0))
         moves = []
         for src, dst in self.pairs:
-            for k in range(1, min(lens[src], codec.caps[dst] - lens[dst], self.max_block) + 1):
+            ns, nd, rs, rd = lens[src], lens[dst], self._runs[src], self._runs[dst]
+            for k in range(1, min(ns, codec.caps[dst] - nd, self.max_block) + 1):
                 tracks = [range(at, at + n) for at, n in zip(starts, lens)]
-                cut = k if front[src] else lens[src] - k
+                cut = k if front[src] else ns - k
                 head, tail = tracks[src][:cut], tracks[src][cut:]
                 block, tracks[src] = (head, tail) if front[src] else (tail, head)
                 tracks[dst] = [*block, *tracks[dst]] if front[dst] else [*tracks[dst], *block]
                 t = bytearray(self.w)
                 for place, old in enumerate(itertools.chain(*tracks)):
                     t[old] = place
-                moves.append((_mask(codec, map(len, tracks)), bytes(t) + pad))
+                moves.append((occ - rs[ns] - rd[nd] + rs[ns - k] + rd[nd + k], bytes(t) + pad))
         self[occ] = moves
         return moves
 

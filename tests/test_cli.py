@@ -4,6 +4,7 @@ acceptance suite; commands here use small instances."""
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import random
@@ -663,13 +664,39 @@ GOLDEN = {
                "--moves", "@solution17.moves"),
     "verify_illegal": ("verify", *GOLDEN_SMALL, "--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]",
                        "--moves", "PULL 1 S1\nPULL 9 S2"),
+    # argparse's own texts: the top-level usage, its invalid choice and
+    # unrecognized-argument errors, a subcommand's usage error and its help
+    "argparse_no_command": (),
+    "argparse_invalid_choice": ("bogus",),
+    "argparse_unrecognized": ("solve", "--budget", "5"),
+    "argparse_bad_value": ("worst", "--budget", "-1"),
+    "argparse_help": ("solve", "--help"),
 }
 
 
+@pytest.mark.parametrize("argv, built", [
+    (("check", "--spec", "@classic.spec"), 1),
+    ((), 7),
+    (("-h",), 7),
+    (("bogus",), 7),
+])
+def test_run_builds_only_the_parser_of_the_named_command(fixtures_dir, monkeypatch,
+                                                         argv, built):
+    # a named command builds its own subparser alone; anything else builds
+    # all seven, for the top-level help and errors
+    names = []
+    real = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or real(self, name, **kw))
+    run_cli(*fixture_args(fixtures_dir, argv))
+    assert len(names) == built
+    if built == 1:
+        assert names == [argv[0]]
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_golden_outputs(fixtures_dir, name):
+def test_golden_outputs(fixtures_dir, name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
     code, out, err = run_cli(*fixture_args(fixtures_dir, GOLDEN[name]))
     got = f"exit = {code}\n--- stdout\n{out}--- stderr\n{err}"
     assert got == (fixtures_dir / "golden" / f"{name}.txt").read_text()

@@ -39,7 +39,7 @@ from inglenook import (
     solve_to_pattern,
     to_cards,
 )
-from inglenook import constructive
+from inglenook import constructive, model
 from inglenook.constructive import format_card_move, format_move_list, format_trace
 from inglenook.model import position_codec
 from inglenook.search import parse_pattern
@@ -256,6 +256,29 @@ def test_solve_inglenook_non_convertible_endpoints():
     # the first move must leave the full headshunt; the last must refill it
     assert trace.moves[0].direction == PUSH
     assert trace.moves[-1].direction == PULL
+
+
+@pytest.mark.parametrize("start, goal", [
+    ("H:[]|S1:[]|S2:[4,7,8]|S3:[1,6,2,3,5]", "H:[]|S1:[]|S2:[1,3,2]|S3:[4,5,6,7,8]"),
+    ("H:[1,6,4]|S1:[]|S2:[7,8]|S3:[2,3,5]", "H:[]|S1:[]|S2:[1,3,2]|S3:[4,5,6,7,8]"),
+    ("H:[1,6,4]|S1:[]|S2:[7,8]|S3:[2,3,5]", "H:[8,7,5]|S1:[1,2,3]|S2:[6]|S3:[4]"),
+], ids=["no_full_headshunt", "full_start", "full_both"])
+def test_solve_inglenook_validates_each_endpoint_once(monkeypatch, start, goal):
+    # the two endpoints up front and the start of the trace check's replay;
+    # neither a full headshunt nor the card map checks an endpoint again
+    start, goal = parse_position(CLASSIC, start), parse_position(CLASSIC, goal)
+    calls = []
+    real = model.validate_position
+
+    def counting(spec, p):
+        calls.append(p)
+        real(spec, p)
+
+    monkeypatch.setattr(model, "validate_position", counting)
+    monkeypatch.setattr(constructive, "validate_position", counting)
+    trace = solve_inglenook(CLASSIC, start, goal)
+    assert len(calls) <= 3
+    assert replay(CLASSIC, start, trace.moves)[-1] == goal
 
 
 def test_one_wagon_headshunt_lifts_each_card_move_to_two_shunts():

@@ -73,6 +73,7 @@ from inglenook.search import (
     _goal_test,
     _iter_codes,
     _level,
+    _mask,
     _next_level,
     _occupancies,
     _orbit_firsts,
@@ -1083,6 +1084,33 @@ def test_card_table_matches_reference_rule_in_order(case):
     want = [codec.encode(t.piles) for t in card_neighbors(spec, state)]
     code = codec.encode(state.piles)
     assert _child_codes(_card_moves(spec), code) == want
+
+
+def _check_child_masks(moves):
+    # each entry's child masks, in table order, are the masks of the track
+    # lengths that each (source, destination, block size) move leaves
+    codec = moves.codec
+    for lens in _track_lengths(codec.caps, moves.w):
+        want = []
+        for src, dst in moves.pairs:
+            for k in range(1, min(lens[src], codec.caps[dst] - lens[dst], moves.max_block) + 1):
+                child = list(lens)
+                child[src] -= k
+                child[dst] += k
+                want.append(_mask(codec, child))
+        assert [child for child, _t in moves[_mask(codec, lens)]] == want
+
+
+@given(puzzle_specs(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_shunt_child_masks_are_the_masks_of_the_child_lengths(spec, pushes_first):
+    _check_child_masks(_shunt_moves(spec, pushes_first=pushes_first))
+
+
+@given(cards_specs())
+@settings(max_examples=100, deadline=None)
+def test_card_child_masks_are_the_masks_of_the_child_lengths(spec):
+    _check_child_masks(_card_moves(spec))
 
 
 @pytest.mark.parametrize("w", range(1, 6))
