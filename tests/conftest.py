@@ -14,11 +14,13 @@ order decides the reported witness.  `naive_rank_table` builds a move's
 rank table the direct way, one translate and rank lookup per permutation.
 `naive_shortest_layers` and `naive_explored` read a shortest-path search's
 layers and labelled-state count off breadth-first distances from each end.
+The `call_log` fixture counts calls made in forked sweep workers too.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import deque
 from pathlib import Path
 
@@ -54,6 +56,28 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def classic_spec() -> PuzzleSpec:
     return PuzzleSpec(8, 3, (3, 3, 5))
+
+
+@pytest.fixture
+def call_log(monkeypatch, tmp_path):
+    """`call_log(module, **tags)` wraps each function of `module` named in
+    `tags` so that every call appends its tag, one line in one write, to a
+    file opened with O_APPEND.  A forked worker inherits the descriptor, so
+    the log holds the calls of every process; the returned callable lists
+    the tags logged so far."""
+    path = tmp_path / "calls.log"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def wrap(module, **tags):
+        for name, tag in tags.items():
+            def logged(*args, _call=getattr(module, name), _line=f"{tag}\n".encode()):
+                os.write(fd, _line)
+                return _call(*args)
+            monkeypatch.setattr(module, name, logged)
+        return lambda: path.read_text().splitlines()
+
+    yield wrap
+    os.close(fd)
 
 
 # --- hypothesis strategies --------------------------------------------------

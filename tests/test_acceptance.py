@@ -303,18 +303,12 @@ def _card_diameter(w: int) -> int:
 
 
 @pytest.mark.slow
-def test_criterion_6_card_diameter_of_eight(monkeypatch):
+def test_criterion_6_card_diameter_of_eight(call_log):
     # 15 pile-size compositions in 8 orbits of swaps of the two 7-card
-    # piles: one sweep per orbit
-    bfs_levels, sweeps = search._bfs_levels, []
-
-    def swept(*args):
-        sweeps.append(args[1])
-        return bfs_levels(*args)
-
-    monkeypatch.setattr(search, "_bfs_levels", swept)
+    # piles: one sweep per orbit, in this process or a forked worker
+    calls = call_log(search, _RankMoves="build", _bfs_levels="sweep")
     assert _card_diameter(8) == 45
-    assert len(sweeps) == 8
+    assert calls() == ["build"] + ["sweep"] * 8
     _report(6, "card diameter at w = 8", "45")
 
 
@@ -380,6 +374,8 @@ def test_criterion_8_determinism(fixtures_dir, tmp_path):
         ("worst", "--spec", str(small), "--start", "*", "--goal",
          "H:[]|S1:[1,2]|S2:[3,4]|S3:[5]"),
         ("diameter", "--cards", "4", "--piles", "3 3 1"),
+        # past the fork threshold: on two CPUs a worker sweeps 3 of the 6 orbits
+        ("diameter", "--cards", "6", "--piles", "5 5 1"),
         # shortest paths keep sets of byte strings, whose order follows the
         # hash seed
         ("optimal", "--spec", spec_file, "--start", str(fixtures_dir / "solution20.start"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import io
 import itertools
 import math
 import os
@@ -16,6 +17,8 @@ import random
 import re
 import subprocess
 import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -52,7 +55,8 @@ from inglenook import (
     search,
     worst_case_moves,
 )
-from inglenook.model import position_codec, state_codec
+from inglenook.cli import run
+from inglenook.model import InternalCheckError, position_codec, state_codec
 from inglenook.search import (
     ANY,
     EMPTY,
@@ -78,6 +82,7 @@ from inglenook.search import (
     _occupancies,
     _orbit_firsts,
     _plans,
+    _processes,
     _rank_table,
     _shortest_layers,
     _shunt_moves,
@@ -722,13 +727,15 @@ def test_census_sizes_sum_to_state_count():
     assert report.sizes == tuple(sorted(report.sizes, reverse=True))
 
 
-@pytest.mark.parametrize("w,expect", [(2, 3), (3, 8), (4, 13), (5, 20)])
+@pytest.mark.parametrize("w,expect", [(2, 3), (3, 8), (4, 13), (5, 20), (6, 27), (7, 36)])
 def test_two_wide_pile_family_diameters(w, expect):
     # frozen values, originally computed by this exhaustive search and
-    # cross-checked against the quadratic lower bound (w*w+2)//4
+    # cross-checked against the quadratic lower bound (w*w+2)//4; each is
+    # floor((w*w + 4w - 5) / 2), the closed form README conjectures, and
+    # w = 6 and 7 are past the fork threshold
     spec = CardsSpec(w, (w - 1, w - 1, 1))
     d = cards_diameter(spec)
-    assert d == expect
+    assert d == expect == (w * w + 4 * w - 5) // 2
     assert d >= (w * w + 2) // 4
     assert d <= w * w + 6 * w - 6
 
@@ -885,28 +892,138 @@ def test_eccentricity_is_constant_on_each_orbit_of_track_swaps(spec):
     (CardsSpec(7, (6, 6, 1)), 7, 36),  # 13 compositions in 7 orbits
 ])
 def test_diameter_builds_once_and_sweeps_each_composition_or_component(
-        monkeypatch, spec, sweeps, diameter):
+        call_log, spec, sweeps, diameter):
     # a disconnected graph's census goes on from the diameter's first sweep,
-    # on the same rank tables
-    bfs_levels, rank_moves, calls = search._bfs_levels, search._RankMoves, []
-
-    def swept(*args):
-        calls.append("sweep")
-        return bfs_levels(*args)
-
-    def built(*args):
-        calls.append("build")
-        return rank_moves(*args)
-
-    monkeypatch.setattr(search, "_bfs_levels", swept)
-    monkeypatch.setattr(search, "_RankMoves", built)
+    # on the same rank tables; the two connected passes are past the fork
+    # threshold, and the log counts the workers' sweeps too
+    calls = call_log(search, _RankMoves="build", _bfs_levels="sweep")
     if diameter is None:
         with pytest.raises(DisconnectedGraphError) as err:
             cards_diameter(spec)
         assert err.value.census.sizes == (4,) * 6
     else:
         assert cards_diameter(spec) == diameter
-    assert calls == ["build"] + ["sweep"] * sweeps
+    assert calls() == ["build"] + ["sweep"] * sweeps
+
+
+# --- the orbit pass across forked workers -------------------------------------
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Fork past every pass size, list the masks dealt to each worker, and
+    check after the test that no child process is left."""
+    monkeypatch.setattr(search, "_FORK_MIN_STATES", 0)
+    fork_sweeps, shares = search._fork_sweeps, []
+
+    def forking(ranks, occs):
+        shares.append(occs)
+        return fork_sweeps(ranks, occs)
+
+    monkeypatch.setattr(search, "_fork_sweeps", forking)
+    yield shares
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pass_outcome(spec: CardsSpec, threshold):
+    """The eccentricities of every mask, or the census of a disconnected
+    graph, with the fork threshold at `threshold` and three CPUs, so that
+    two workers share the pass."""
+    ranks = _RankMoves(_card_moves(spec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_FORK_MIN_STATES", threshold)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        try:
+            return _eccentricities(ranks, ranks, count_states(spec))
+        except DisconnectedGraphError as err:
+            return err.census
+
+
+@given(cards_specs(max_w=4, max_piles=3, max_cap=3))
+@example(CardsSpec(3, (2, 2, 2)))  # connected, 10 masks over three processes
+@example(CardsSpec(3, (3, 3)))  # 6 components
+@settings(max_examples=30, deadline=None)
+def test_forked_pass_matches_the_serial_pass(spec):
+    assert _pass_outcome(spec, 0) == _pass_outcome(spec, math.inf)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("spec", [CardsSpec(3, (3, 3)), CardsSpec(4, (2, 2, 1))])
+def test_forked_pass_on_a_disconnected_graph_raises_the_serial_census(forked, spec):
+    with pytest.raises(DisconnectedGraphError) as err:
+        cards_diameter(spec)
+    assert forked
+    assert err.value.census == cards_component_census(spec)
+
+
+def test_a_worker_that_dies_is_an_internal_error(forked, monkeypatch):
+    parent, bfs_levels = os.getpid(), search._bfs_levels
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return bfs_levels(*args)
+
+    monkeypatch.setattr(search, "_bfs_levels", dying)
+    with pytest.raises(InternalCheckError, match="^a sweep worker exited with status 3$"):
+        cards_diameter(CardsSpec(5, (4, 4, 1)))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert run(["diameter", "--cards", "5", "--piles", "4 4 1"]) == 4
+    assert err.getvalue() == "error: a sweep worker exited with status 3\n"
+    assert len(forked) == 2
+
+
+def test_a_worker_sweep_that_misses_states_is_an_internal_error(forked, monkeypatch):
+    parent, bfs_levels = os.getpid(), search._bfs_levels
+    monkeypatch.setattr(search, "_bfs_levels", lambda *args: (
+        bfs_levels(*args) if os.getpid() == parent else [1]))
+    with pytest.raises(InternalCheckError, match="sweeps must each reach 1080 states"):
+        cards_diameter(CardsSpec(5, (4, 4, 1)))
+
+
+def test_no_fork_means_one_process(forked, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert _processes(5) == 1
+    assert cards_diameter(CardsSpec(5, (4, 4, 1))) == 20
+    assert forked == []
+
+
+def test_one_cpu_means_one_process(forked, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _processes(5) == 1
+    assert cards_diameter(CardsSpec(5, (4, 4, 1))) == 20
+    assert forked == []
+
+
+def test_another_thread_means_one_process(forked):
+    # a fork copies only the calling thread, so a worker could wait forever
+    # on a lock another thread held
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert _processes(5) == 1
+        assert cards_diameter(CardsSpec(5, (4, 4, 1))) == 20
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forked == []
+
+
+def test_cpu_count_stands_in_for_a_missing_affinity(forked, monkeypatch):
+    # 5 orbits over three processes: this one sweeps orbits 0 and 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [_processes(n) for n in (1, 2, 5)] == [1, 2, 3]
+    spec = CardsSpec(5, (4, 4, 1))
+    assert cards_diameter(spec) == 20
+    occs = _orbit_firsts(_card_moves(spec))
+    assert forked == [[occs[1], occs[4]], [occs[2]]]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _processes(5) == 1
 
 
 def test_cards_distance_small():
