@@ -56,10 +56,7 @@ def _load_spec(args) -> model.PuzzleSpec:
     if args.wagons is None or args.headshunt is None or args.sidings is None:
         raise FormatError("give --spec or all of --wagons/--headshunt/--sidings")
     caps = model.parse_capacities("--sidings", args.sidings)
-    try:
-        return model.PuzzleSpec(args.wagons, args.headshunt, caps)
-    except model.InvalidSpecError as exc:
-        raise FormatError(str(exc)) from None
+    return model.PuzzleSpec(args.wagons, args.headshunt, caps)
 
 
 def _load_start(spec, args) -> tuple[model.Position, LabelTable]:
@@ -143,10 +140,7 @@ def cmd_diameter(args) -> int:
         caps = model.parse_capacities("--piles", args.piles)
         if args.cards is None:
             raise FormatError("--piles needs --cards for the card count")
-        try:
-            cspec = model.CardsSpec(args.cards, caps)
-        except model.InvalidSpecError as exc:
-            raise FormatError(str(exc)) from None
+        cspec = model.CardsSpec(args.cards, caps)
     elif args.cards is not None:
         raise FormatError("--cards needs --piles for the pile capacities")
     else:

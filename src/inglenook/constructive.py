@@ -5,9 +5,10 @@ loop over the piles it is given: a seated card never moves again, so each
 pass leaves a smaller instance on the same piles.  Every trace stays within
 the quadratic bound w^2 + 6w - 6.  Inglenook solutions are obtained by
 translating card moves through the convertible-position correspondence, at
-most two shunt moves per card move, for a bound of 2w^2 + 12w - 10.
-Both traces are checked against their bound and replayed by
-`model._check_trace` before they are returned.
+most two shunt moves per card move, plus one push at each end whose
+headshunt is full: twice the card bound plus two, 2w^2 + 12w - 10.
+`model._check_trace` checks both traces against their bound and replays
+them before they are returned.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def cards_move_bound(w: int) -> int:
 
 
 def inglenook_move_bound(w: int) -> int:
-    """Worst-case shunt moves guaranteed by the constructive solver."""
-    return 2 * w * w + 12 * w - 10
+    """Worst-case shunt moves guaranteed by the constructive solver: two per
+    card move, and one push at each full-headshunt end."""
+    return 2 * cards_move_bound(w) + 2
 
 
 def apply_card_move(spec: CardsSpec, st: CardsState, mv: CardMove) -> CardsState:
@@ -106,13 +108,8 @@ def solve_cards(spec: CardsSpec, start: CardsState, goal: CardsState) -> Solutio
     validate_state(spec, goal)
     cur = [list(p) for p in start.piles]
     want = [list(p) for p in goal.piles]
-    moves = _cards_path(list(spec.m), cur, want)
-    trace = SolutionTrace(start, goal, tuple(moves))
-    if trace.length > cards_move_bound(spec.w):
-        raise InternalCheckError(
-            f"{trace.length} card moves exceed the bound {cards_move_bound(spec.w)}"
-        )
-    return _check_trace(_replay_card_steps, spec, trace, "card")
+    trace = SolutionTrace(start, goal, tuple(_cards_path(list(spec.m), cur, want)))
+    return _check_trace(_replay_card_steps, spec, trace, "card", cards_move_bound(spec.w))
 
 
 def _cards_path(caps: list[int], cur: list[list[int]], goal: list[list[int]]) -> list[CardMove]:
@@ -124,12 +121,7 @@ def _cards_path(caps: list[int], cur: list[list[int]], goal: list[list[int]]) ->
     out: list[CardMove] = []
     closings: list[CardMove] = []
     while cur != goal:
-        if sum(map(len, cur)) == 1:
-            src = next(i for i, p in enumerate(cur) if p)
-            dst = next(i for i, p in enumerate(goal) if p)
-            out.append(_move(cur, src, dst))
-            break
-        if all(c == 1 for c in caps):
+        if sum(map(len, cur)) == 1 or all(c == 1 for c in caps):
             out.extend(_single_slot_path(cur, goal))
             break
         target = next(i for i, c in enumerate(caps) if c >= 2)
@@ -155,6 +147,7 @@ def _move(piles: list[list[int]], src: int, dst: int) -> CardMove:
 def _single_slot_path(cur: list[list[int]], goal: list[list[int]]) -> list[CardMove]:
     # Every pile holds at most one card, so states are partial injections
     # from cards to piles and there is always a free pile to evict into.
+    # A lone card is the smallest case: one move finishes it.
     where = {p[0]: i for i, p in enumerate(cur) if p}
     want = {p[0]: i for i, p in enumerate(goal) if p}
     out = []
@@ -261,12 +254,16 @@ def _lift_card_move(spec: PuzzleSpec, mv: CardMove) -> list[ShuntMove]:
     return [ShuntMove(track, direction, 1) for track, direction in steps if track]
 
 
-def _push_to_convertible(spec: PuzzleSpec, p: Position) -> ShuntMove:
-    """The first move of a full headshunt: push one wagon to the lowest
-    numbered siding with space."""
+def _convertible(spec: PuzzleSpec, p: Position) -> tuple[Position, list[ShuntMove]]:
+    """A convertible position reached from valid `p`, and the moves that
+    reach it.  A full headshunt is the one way for `p` not to be convertible:
+    then one wagon goes to the lowest-numbered siding with space."""
+    if len(p.headshunt) < spec.h:
+        return p, []
     for r in range(1, spec.s + 1):
         if len(p.tracks[r]) < spec.m[r - 1]:
-            return ShuntMove(r, PUSH, 1)
+            mv = ShuntMove(r, PUSH, 1)
+            return _shunt(spec, p, mv), [mv]
     raise InternalCheckError("a valid spec always leaves space somewhere")
 
 
@@ -284,31 +281,14 @@ def solve_inglenook(spec: PuzzleSpec, start: Position, goal: Position) -> Soluti
     if start == goal:
         return SolutionTrace(start, goal, ())
 
-    # both ends are valid now: a full headshunt is the one way not to be convertible
-    moves: list[ShuntMove] = []
-    entry = start
-    if len(entry.headshunt) == spec.h:
-        mv = _push_to_convertible(spec, entry)
-        moves.append(mv)
-        entry = _shunt(spec, entry, mv)
-    exit_goal = goal
-    suffix: list[ShuntMove] = []
-    if len(goal.headshunt) == spec.h:
-        mv = _push_to_convertible(spec, goal)
-        exit_goal = _shunt(spec, goal, mv)
-        suffix.append(mv.inverse())
-
+    entry, moves = _convertible(spec, start)
+    exit_goal, exit_moves = _convertible(spec, goal)
     ctrace = solve_cards(cards_spec(spec), _to_cards(spec, entry), _to_cards(spec, exit_goal))
     for cm in ctrace.moves:
         moves.extend(_lift_card_move(spec, cm))
-    moves.extend(suffix)
-
+    moves.extend(mv.inverse() for mv in reversed(exit_moves))
     trace = SolutionTrace(start, goal, tuple(moves))
-    if trace.length > inglenook_move_bound(spec.w):
-        raise InternalCheckError(
-            f"{trace.length} shunt moves exceed the bound {inglenook_move_bound(spec.w)}"
-        )
-    return _check_trace(_replay_steps, spec, trace, "shunt")
+    return _check_trace(_replay_steps, spec, trace, "shunt", inglenook_move_bound(spec.w))
 
 
 def solve_to_pattern(spec: PuzzleSpec, start: Position, pattern) -> SolutionTrace:

@@ -175,8 +175,12 @@ class SolutionTrace:
         return len(self.moves)
 
 
-def _check_trace(steps_fn, spec, trace: SolutionTrace, what: str) -> SolutionTrace:
-    """Return trace if `steps_fn` (`_replay_steps`, say) replays it legally to its finish."""
+def _check_trace(steps_fn, spec, trace: SolutionTrace, what: str,
+                 bound: int | None = None) -> SolutionTrace:
+    """Return trace if it keeps within `bound` moves, when one is given, and
+    `steps_fn` (`_replay_steps`, say) replays it legally to its finish."""
+    if bound is not None and trace.length > bound:
+        raise InternalCheckError(f"{trace.length} {what} moves exceed the bound {bound}")
     try:
         end = collections.deque(steps_fn(spec, trace.start, trace.moves), maxlen=1).pop()
     except IllegalMoveError as exc:

@@ -14,7 +14,8 @@ order decides the reported witness.  `naive_rank_table` builds a move's
 rank table the direct way, one translate and rank lookup per permutation.
 `naive_shortest_layers` and `naive_explored` read a shortest-path search's
 layers and labelled-state count off breadth-first distances from each end.
-The `call_log` fixture counts calls made in forked sweep workers too.
+The `call_log` fixture counts calls made in forked sweep workers too, and
+`refused` checks a refusal's exact error class and whole message.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def classic_spec() -> PuzzleSpec:
     return PuzzleSpec(8, 3, (3, 3, 5))
+
+
+def refused(make, error: type, message: str) -> None:
+    """Assert that `make()` raises exactly `error`, not a subclass or a
+    parent, with exactly `message` as its text."""
+    with pytest.raises(Exception) as info:
+        make()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 @pytest.fixture

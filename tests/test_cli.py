@@ -705,3 +705,31 @@ def test_golden_outputs(fixtures_dir, name, monkeypatch):
 def test_golden_commands_are_the_recorded_files(fixtures_dir):
     # no recorded file without its command, and no command without its file
     assert set(GOLDEN) == {path.stem for path in (fixtures_dir / "golden").glob("*.txt")}
+
+
+CLI_SMALL = ("--wagons", "4", "--headshunt", "2", "--sidings", "2 2 1")
+CLI_SMALL_START = ("--start", "H:[]|S1:[1,2]|S2:[3,4]|S3:[]")
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(("check", "--wagons", "0", "--headshunt", "3", "--sidings", "3 3 5"),
+                 "wagon count must be positive, got 0", id="inline_spec"),
+    pytest.param(("solve", *CLI_SMALL, *CLI_SMALL_START), "--goal is required",
+                 id="solve_without_goal"),
+    pytest.param(("optimal", *CLI_SMALL, *CLI_SMALL_START), "--goal is required",
+                 id="optimal_without_goal"),
+    pytest.param(("worst", *CLI_SMALL, "--start", "*"),
+                 "worst needs --start and --goal patterns", id="worst_without_goal"),
+    pytest.param(("diameter", "--cards", "9", "--piles", "1 1"),
+                 "card count 9 exceeds total pile capacity 2", id="card_spec"),
+    pytest.param(("verify", *CLI_SMALL, *CLI_SMALL_START), "verify needs --moves",
+                 id="verify_without_moves"),
+])
+def test_input_refusals_exit_2_with_their_line(argv, line):
+    assert run_cli(*argv) == (2, "", f"error: {line}\n")
+
+
+def test_verify_skips_blank_and_comment_lines():
+    moves = "# a comment\n\nPULL 1 S1\n   # an indented one\nPUSH 1 S3\n"
+    assert run_cli("verify", *CLI_SMALL, *CLI_SMALL_START, "--moves", moves) == (
+        0, "moves = 2\nH:[]|S1:[2]|S2:[3,4]|S3:[1]\n", "")

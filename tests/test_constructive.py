@@ -3,6 +3,8 @@ between card moves and shunt moves."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -19,6 +21,7 @@ from inglenook import (
     CardMove,
     CardsSpec,
     CardsState,
+    IllegalMoveError,
     InternalCheckError,
     InvalidStateError,
     Position,
@@ -42,14 +45,16 @@ from inglenook import (
 from inglenook import constructive, model
 from inglenook.constructive import format_card_move, format_move_list, format_trace
 from inglenook.model import position_codec
-from inglenook.search import parse_pattern
+from inglenook.search import parse_pattern, sample_code
 
 from conftest import (
+    FIXTURES,
     all_card_states,
     all_positions,
     cards_specs,
     pattern_matches,
     positions,
+    refused,
     specs_with_patterns,
 )
 
@@ -336,6 +341,35 @@ def test_solve_inglenook_randoms_replay_within_bound():
         solved += 1
 
 
+def _pinned_traces() -> dict:
+    """Solve 100 seeded pairs of classic deals, then 100 seeded pairs of any
+    classic positions (which reach full-headshunt ends), and return each
+    trace's length and one sha256 over every trace file's text."""
+    codec = position_codec(CLASSIC)
+    deals = parse_pattern(CLASSIC, (FIXTURES / "classic_start.pattern").read_text())
+    traces = []
+    for seed in range(100):
+        rng = random.Random(seed)
+        start, goal = (Position(codec.decode(sample_code(CLASSIC, deals, rng, "a deal")))
+                       for _ in range(2))
+        traces.append(solve_inglenook(CLASSIC, start, goal))
+    for seed in range(100):
+        rng = random.Random(seed)
+        start, goal = _random_position(rng, CLASSIC), _random_position(rng, CLASSIC)
+        traces.append(solve_inglenook(CLASSIC, start, goal))
+    text = "".join(format_trace(trace) for trace in traces)
+    return {"lengths": [trace.length for trace in traces],
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_constructive_traces_match_the_pinned_fixture():
+    # A change that shortens traces on purpose rewrites the fixture with
+    # json.dumps(_pinned_traces()) and says so in CHANGES.md; a refactor
+    # leaves it as it is.
+    pinned = json.loads((FIXTURES / "constructive_traces.json").read_text())
+    assert _pinned_traces() == pinned
+
+
 def test_solve_to_pattern_reaches_classic_goal():
     start = parse_position(CLASSIC, "H:[]|S1:[]|S2:[4,7,8]|S3:[1,6,2,3,5]")
     pattern = parse_pattern(CLASSIC, "H = []; S1 = []; S2 ~ {1,2,3}; S3 = [4,5,6,7,8]")
@@ -383,34 +417,69 @@ def test_solve_to_pattern_unsatisfiable_reports_conflicts():
         solve_to_pattern(CLASSIC, start, pattern)
 
 
-def _refused_under_python_O(path: str) -> None:
-    # `python -O` strips assert statements; a wrong card path must still be
-    # refused by solve_cards' replay check
+def _refused_under_python_O(patch: str, message: str) -> None:
+    # `python -O` strips assert statements; with `patch` applied, solve_cards
+    # must still be refused by its trace check, with `message`
     script = (
         "from inglenook import CardsSpec, CardsState, constructive\n"
         "assert False, 'assert statements must be stripped'\n"
-        f"constructive._cards_path = lambda caps, cur, goal: {path}\n"
+        f"constructive.{patch}\n"
         "try:\n"
         "    constructive.solve_cards(CardsSpec(3, (2, 2, 1)),\n"
         "                             CardsState(((1, 2), (3,), ())),\n"
         "                             CardsState(((2, 1), (3,), ())))\n"
-        "except AssertionError:\n"
-        "    print('refused')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, message + "\n"), done.stderr
 
 
 def test_constructive_checks_survive_python_O():
-    _refused_under_python_O("[]")  # stops short of the goal
+    _refused_under_python_O("_cards_path = lambda caps, cur, goal: []",
+                            "the card trace must replay to its finish")
 
 
 def test_constructive_checks_survive_python_O_on_an_illegal_move():
-    _refused_under_python_O("[constructive.CardMove(2, 0)]")  # pile 2 is empty
+    _refused_under_python_O("_cards_path = lambda caps, cur, goal: [constructive.CardMove(2, 0)]",
+                            "the card trace must replay: pile 2 is empty")
+
+
+def test_constructive_checks_survive_python_O_on_the_move_bound():
+    _refused_under_python_O("cards_move_bound = lambda w: 0",
+                            "5 card moves exceed the bound 0")
+
+
+def test_solve_cards_refuses_a_trace_over_its_bound(monkeypatch):
+    spec = CardsSpec(3, (2, 2, 1))
+    start, goal = CardsState(((1, 2), (3,), ())), CardsState(((2, 1), (3,), ()))
+    monkeypatch.setattr(constructive, "cards_move_bound", lambda w: 0)
+    with pytest.raises(InternalCheckError, match="^5 card moves exceed the bound 0$"):
+        solve_cards(spec, start, goal)
+
+
+@pytest.mark.parametrize("start, goal", [
+    ("H:[]|S1:[]|S2:[4,7,8]|S3:[1,6,2,3,5]", "H:[]|S1:[]|S2:[1,3,2]|S3:[4,5,6,7,8]"),
+    ("H:[1,6,4]|S1:[]|S2:[7,8]|S3:[2,3,5]", "H:[8,7,5]|S1:[1,2,3]|S2:[6]|S3:[4]"),
+], ids=["convertible_ends", "full_headshunt_ends"])
+def test_solve_inglenook_refuses_a_trace_over_its_bound(monkeypatch, start, goal):
+    # the card trace keeps its own bound, so only the shunt bound refuses
+    start, goal = parse_position(CLASSIC, start), parse_position(CLASSIC, goal)
+    length = solve_inglenook(CLASSIC, start, goal).length
+    monkeypatch.setattr(constructive, "inglenook_move_bound", lambda w: 0)
+    with pytest.raises(InternalCheckError,
+                       match=f"^{length} shunt moves exceed the bound 0$"):
+        solve_inglenook(CLASSIC, start, goal)
+
+
+def test_the_shunt_bound_is_the_lifted_card_bound():
+    # two shunt moves a card move and one push at each full-headshunt end
+    for w in range(1, 30):
+        assert inglenook_move_bound(w) == 2 * w * w + 12 * w - 10
 
 
 def test_replay_cards_refuses_an_invalid_start_even_with_no_moves():
@@ -451,3 +520,17 @@ def test_trace_file_format():
     assert lines[-1] == "H:[1,6]|S1:[]|S2:[4,7,8]|S3:[2,3,5]"
     assert len(lines) == trace.length + 2
     assert format_move_list(trace.moves).splitlines() == lines[1:-1]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: CardMove(1, 1), IllegalMoveError, "card move must change pile",
+                 id="card_move_same_pile"),
+    pytest.param(lambda: replay_cards(CardsSpec(2, (1, 1, 1)), CardsState(((1,), (2,), ())),
+                                      [CardMove(0, 3)]),
+                 IllegalMoveError, "no pile 3", id="replay_no_pile"),
+    pytest.param(lambda: replay_cards(CardsSpec(2, (1, 1, 1)), CardsState(((1,), (2,), ())),
+                                      [CardMove(0, 1)]),
+                 IllegalMoveError, "pile 1 is full", id="replay_full_pile"),
+])
+def test_card_move_refusals_name_their_rule(make, error, message):
+    refused(make, error, message)

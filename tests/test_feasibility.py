@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from inglenook import (
     CardsSpec,
+    InglenookError,
     GoalPattern,
     PuzzleSpec,
     cards_component_census,
@@ -37,6 +38,7 @@ from conftest import (
     naive_cards_components,
     naive_distances,
     puzzle_specs,
+    refused,
 )
 
 
@@ -312,3 +314,8 @@ def test_capacity_boundary_second_analogue_is_connected():
     assert inglenook_solvable(spec).slack == 0
     goal = _natural_goal(spec)
     assert len(naive_distances(spec, goal)) == len(all_positions(spec))
+
+
+def test_immovable_bottom_refuses_a_pile_it_does_not_have():
+    refused(lambda: immovable_bottom(CardsSpec(2, (1, 1, 1)), 3), InglenookError,
+            "no pile 3 (piles are 0..2)")

@@ -41,10 +41,11 @@ from inglenook.model import (
     position_codec,
 )
 
-from conftest import legal_moves, puzzle_specs, specs_with_positions
+from conftest import legal_moves, puzzle_specs, refused, specs_with_positions
 
 
 CLASSIC = PuzzleSpec(8, 3, (3, 3, 5))
+SMALL = PuzzleSpec(4, 2, (2, 2, 1))
 
 
 def test_spec_validation():
@@ -377,3 +378,48 @@ def test_constructive_property_tests_hold_under_python_O():
                            str(root / "tests" / "test_constructive.py")],
                           cwd=root, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: PuzzleSpec(1, 2, ()), InvalidSpecError,
+                 "at least one siding is required", id="spec_without_sidings"),
+    pytest.param(lambda: ShuntMove(1, "sideways", 1), IllegalMoveError,
+                 "direction must be 'pull' or 'push', got 'sideways'", id="move_direction"),
+    pytest.param(lambda: model.CardsSpec(0, (1,)), InvalidSpecError,
+                 "card count must be positive, got 0", id="cards_without_cards"),
+    pytest.param(lambda: model.CardsSpec(1, ()), InvalidSpecError,
+                 "at least one pile is required", id="cards_without_piles"),
+    pytest.param(lambda: model.CardsSpec(1, (2, 0)), InvalidSpecError,
+                 "pile 1 capacity must be positive, got 0", id="cards_empty_pile"),
+    pytest.param(lambda: model.CardsSpec(4, (1, 2)), InvalidSpecError,
+                 "card count 4 exceeds total pile capacity 3", id="cards_over_capacity"),
+    pytest.param(lambda: model.validate_position(SMALL, Position(((), (1, 2), (3, 4)))),
+                 InvalidPositionError, "position has 3 tracks, spec has 4",
+                 id="position_track_count"),
+    pytest.param(lambda: model.validate_position(SMALL, Position(((), (1,), (2,), (3, 4)))),
+                 InvalidPositionError, "siding 3 holds 2 wagons, capacity is 1",
+                 id="position_full_siding"),
+    pytest.param(lambda: model.validate_state(model.CardsSpec(2, (1, 1, 1)),
+                                              CardsState(((1,), (2,)))),
+                 model.InvalidStateError, "state has 2 piles, spec has 3",
+                 id="state_pile_count"),
+    pytest.param(lambda: apply_move(SMALL, Position(((), (1, 2), (3, 4), ())),
+                                    ShuntMove(1, PULL, 0)),
+                 IllegalMoveError, "move count must be positive, got 0", id="move_count"),
+    pytest.param(lambda: model.SlotCodec((1,), 65536), InvalidSpecError,
+                 "cannot encode 65536 wagons", id="codec_width"),
+    pytest.param(lambda: LabelTable(("a", "b", "a")), FormatError,
+                 "wagon tokens must be distinct", id="label_tokens"),
+    pytest.param(lambda: parse_position(SMALL, "H:[]|S1:[1,2]|S2:[3,x-y]|S3:[4]"),
+                 FormatError, "bad wagon token 'x-y'", id="wagon_token"),
+    # the token's refusal gains the line of the position it sits in
+    pytest.param(lambda: parse_position_with_labels(SMALL, "H:[]|S1:[1,2]|S2:[3,4!]|S3:[]",
+                                                    line=3),
+                 FormatError, "bad wagon token '4!' (line 3)", id="wagon_token_line"),
+    pytest.param(lambda: parse_position(SMALL, "H:[]|S1:[a,a]|S2:[b,c]|S3:[]"), FormatError,
+                 "position must name 4 distinct wagons, got 3", id="distinct_wagons"),
+    pytest.param(lambda: parse_move("PULL 0 S1", 2), FormatError,
+                 "move count must be positive (line 2)", id="move_text_count"),
+])
+def test_model_refusals_name_their_rule(make, error, message):
+    refused(make, error, message)

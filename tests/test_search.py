@@ -56,7 +56,7 @@ from inglenook import (
     worst_case_moves,
 )
 from inglenook.cli import run
-from inglenook.model import InternalCheckError, position_codec, state_codec
+from inglenook.model import InglenookError, InternalCheckError, position_codec, state_codec
 from inglenook.search import (
     ANY,
     EMPTY,
@@ -111,6 +111,7 @@ from conftest import (
     patterns,
     positions,
     puzzle_specs,
+    refused,
     specs_with_patterns,
     specs_with_positions,
 )
@@ -1407,3 +1408,28 @@ def test_renaming_check_survives_python_O():
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "7 66\nthe wagon renaming must take the start to the goal\n"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: TrackRule("bogus"), FormatError,
+                 "unknown track rule kind 'bogus'", id="rule_kind"),
+    pytest.param(lambda: GoalPattern(()), FormatError,
+                 "a goal pattern needs at least one alternative", id="no_alternative"),
+    pytest.param(lambda: parse_pattern(SMALL, "S1 = [1,2]; bogus"), FormatError,
+                 "bad clause 'bogus' (line 1)", id="bad_clause"),
+    pytest.param(lambda: parse_pattern(SMALL, "H = []\nS1 = 1,2"), FormatError,
+                 "'=' needs [..] or *, got '1,2' (line 2)", id="exact_without_brackets"),
+    pytest.param(lambda: parse_pattern(SMALL, "S1 ~ {}"), FormatError,
+                 "'~' set must not be empty (line 1)", id="empty_set"),
+    pytest.param(lambda: reversal_distance(1), InglenookError,
+                 "reversal needs at least two wagons", id="reversal_of_one"),
+    pytest.param(lambda: ordering_displacement((1, 2), (1, 3)), InglenookError,
+                 "orderings must list the same distinct items", id="displacement_items"),
+])
+def test_search_refusals_name_their_rule(make, error, message):
+    refused(make, error, message)
+
+
+def test_an_empty_clause_between_semicolons_is_skipped():
+    assert (parse_pattern(SMALL, "S1 = [1,2];; S2 ~ {3,4}")
+            == parse_pattern(SMALL, "S1 = [1,2]; S2 ~ {3,4}"))
